@@ -432,6 +432,26 @@ func BenchmarkDijkstra(b *testing.B) {
 	}
 }
 
+// BenchmarkKShortestPaths measures one k=8 Yen query across an N=500
+// +Grid mega-constellation snapshot, whose regular wiring makes many
+// equal-cost spur paths.
+func BenchmarkKShortestPaths(b *testing.B) {
+	cfg, specs, grounds, users := gridBuildInputs(b, 500)
+	snap := topo.Build(0, cfg, specs, grounds, users)
+	cost := routing.LatencyCost(0)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		paths, err := routing.KShortestPaths(snap, "u", "gs", cost, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(paths) != 8 {
+			b.Fatalf("%d paths, want 8", len(paths))
+		}
+	}
+}
+
 // iridiumTrafficNetwork builds the Iridium snapshot with two gateways and
 // phy-derived capacities: the constellation-scale input for the flow
 // benchmarks.

@@ -250,14 +250,14 @@ func (n *Network) Associate(userID string, t float64) error {
 	// current snapshot is audible.
 	snap := n.te.At(t)
 	u.Terminal.StartScan()
-	for _, e := range snap.Neighbors(userID) {
+	snap.Neighbors(userID, func(e topo.Edge) {
 		sat := snap.Node(e.To)
 		if sat == nil || sat.Kind != topo.KindSatellite {
-			continue
+			return
 		}
 		sc := n.satConfig(e.To)
 		if sc == nil {
-			continue
+			return
 		}
 		caps := frame.CapRF
 		if sc.HasLaser {
@@ -277,7 +277,7 @@ func (n *Network) Associate(userID string, t float64) error {
 			},
 			SentAtS: t,
 		})
-	}
+	})
 
 	req, err := u.Terminal.SelectAndRequestAuth(t, n.rng.Uint64())
 	if err != nil {

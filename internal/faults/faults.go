@@ -18,6 +18,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/exec"
@@ -178,7 +179,6 @@ type Inputs struct {
 // undirected ISLs of a snapshot in sorted order.
 func InputsFromSnapshot(s *topo.Snapshot) Inputs {
 	var in Inputs
-	seen := make(map[[2]string]bool)
 	for _, id := range s.Nodes() { // sorted
 		switch s.Node(id).Kind {
 		case topo.KindSatellite:
@@ -186,26 +186,28 @@ func InputsFromSnapshot(s *topo.Snapshot) Inputs {
 		case topo.KindGroundStation:
 			in.Grounds = append(in.Grounds, id)
 		}
-		for _, e := range s.Neighbors(id) {
-			if e.Kind != topo.LinkISLRF && e.Kind != topo.LinkISLLaser {
+	}
+	// Undirected ISLs as ordered index pairs: index order is ID order, so
+	// sorting the pairs sorts the IDs.
+	var pairs [][2]int32
+	off, to := s.CSR()
+	for u := int32(0); int(u) < s.NodeSlots(); u++ {
+		for j := off[u]; j < off[u+1]; j++ {
+			if k := s.EdgeAt(j).Kind; !s.EdgeLive(j) || (k != topo.LinkISLRF && k != topo.LinkISLLaser) {
 				continue
 			}
-			key := [2]string{e.From, e.To}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
-			if !seen[key] {
-				seen[key] = true
-				in.ISLs = append(in.ISLs, key)
-			}
+			pairs = append(pairs, [2]int32{min(u, to[j]), max(u, to[j])})
 		}
 	}
-	sort.Slice(in.ISLs, func(a, b int) bool {
-		if in.ISLs[a][0] != in.ISLs[b][0] {
-			return in.ISLs[a][0] < in.ISLs[b][0]
+	slices.SortFunc(pairs, func(a, b [2]int32) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
 		}
-		return in.ISLs[a][1] < in.ISLs[b][1]
+		return int(a[1] - b[1])
 	})
+	for _, p := range slices.Compact(pairs) {
+		in.ISLs = append(in.ISLs, [2]string{s.NodeID(p[0]), s.NodeID(p[1])})
+	}
 	return in
 }
 

@@ -109,6 +109,12 @@ func RunFlows(snap *topo.Snapshot, specs []FlowSpec, tl *Timeline, rc RecoveryCo
 	engine := sim.NewEngine()
 	mask := NewMask()
 	alive := func(p routing.Path) bool { return !mask.PathDown(p.Nodes) }
+	// Recomputes search the intact snapshot with the current fault mask
+	// applied to one searcher — exactly the overlay's routes, without
+	// building an overlay per attempt. The mask is re-applied only when a
+	// transition changed it since the last recompute.
+	sr := routing.NewSearcher(snap, cost)
+	masked := -1 // the transition count the searcher's mask reflects
 
 	// attemptRecovery attempts repair for a down flow and schedules its completion;
 	// complete re-validates (the chosen path may have died while the
@@ -138,7 +144,14 @@ func RunFlows(snap *topo.Snapshot, specs []FlowSpec, tl *Timeline, rc RecoveryCo
 			}
 			return
 		}
-		p, err := routing.ShortestPath(snap.Overlay(mask), f.spec.Src, f.spec.Dst, cost)
+		if mask.NodeDown(f.spec.Src) || mask.NodeDown(f.spec.Dst) {
+			return // a down endpoint has no route; the next repair event retries
+		}
+		if masked != res.FaultTransitions {
+			sr.Mask(mask)
+			masked = res.FaultTransitions
+		}
+		p, err := sr.ShortestPath(f.spec.Src, f.spec.Dst)
 		if err != nil {
 			return // no live route; the next repair event retries
 		}

@@ -232,7 +232,9 @@ func (e *Evolver) Advance(snap *topo.Snapshot, t0, t1 float64, epoch int) error 
 	// which is exactly what re-routes its cities elsewhere.
 	e.lit = e.lit[:0]
 	for _, g := range e.gws {
-		if snap.Node(g.ID) != nil && len(snap.Neighbors(g.ID)) > 0 {
+		links := 0
+		snap.Neighbors(g.ID, func(topo.Edge) { links++ })
+		if links > 0 {
 			e.lit = append(e.lit, g)
 		}
 	}

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -63,7 +62,7 @@ func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64
 	}
 	prev := map[string]pred{}
 	done := map[string]bool{}
-	q := &pq{{id: src, cost: startS}}
+	q := []entry[string]{{cost: startS, node: src}}
 
 	snapStart := func(i int) float64 { return te.Snaps[i].TimeS }
 	snapEnd := func(i int) float64 {
@@ -73,32 +72,34 @@ func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64
 		return math.Inf(1) // the last snapshot's topology persists
 	}
 
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(item)
-		if done[cur.id] {
+	for len(q) > 0 {
+		var cur entry[string]
+		q, cur = pop(q)
+		id := cur.node
+		if done[id] {
 			continue
 		}
-		done[cur.id] = true
-		if cur.id == dst {
+		done[id] = true
+		if id == dst {
 			break
 		}
-		t := arrival[cur.id]
+		t := arrival[id]
 		for i := range te.Snaps {
 			if snapEnd(i) <= t {
 				continue // contact over before we arrive
 			}
-			for _, e := range te.Snaps[i].Neighbors(cur.id) {
-				depart := math.Max(t, snapStart(i))
-				if depart >= snapEnd(i) {
-					continue
-				}
+			depart := math.Max(t, snapStart(i))
+			if depart >= snapEnd(i) {
+				continue
+			}
+			te.Snaps[i].Neighbors(id, func(e topo.Edge) {
 				arrive := depart + e.DelayS + txS
 				if old, ok := arrival[e.To]; !ok || arrive < old {
 					arrival[e.To] = arrive
-					prev[e.To] = pred{from: cur.id, departS: depart, arriveS: arrive}
-					heap.Push(q, item{id: e.To, cost: arrive})
+					prev[e.To] = pred{from: id, departS: depart, arriveS: arrive}
+					q = push(q, entry[string]{cost: arrive, node: e.To})
 				}
-			}
+			})
 		}
 	}
 	if _, ok := arrival[dst]; !ok {

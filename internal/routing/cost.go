@@ -15,8 +15,6 @@
 package routing
 
 import (
-	"math"
-
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
@@ -121,23 +119,4 @@ type Path struct {
 	Hops           int
 	MinCapacityBps float64 // bottleneck capacity
 	CrossOwnerHops int     // §3 accounting: hops carried by other providers
-}
-
-// statsFromEdges fills the descriptive fields of a path from its edges.
-func statsFromEdges(nodes []string, cost float64, edges []topo.Edge) Path {
-	p := Path{Nodes: nodes, Cost: cost, Hops: len(edges), MinCapacityBps: math.Inf(1)}
-	for _, e := range edges {
-		p.DelayS += e.DelayS
-		p.DistanceKm += e.DistanceKm
-		if e.CapacityBps < p.MinCapacityBps {
-			p.MinCapacityBps = e.CapacityBps
-		}
-		if e.CrossOwner {
-			p.CrossOwnerHops++
-		}
-	}
-	if len(edges) == 0 {
-		p.MinCapacityBps = 0
-	}
-	return p
 }

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
@@ -19,28 +21,32 @@ func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]P
 	if k <= 0 {
 		return nil, nil
 	}
-	banned := map[[2]string]bool{}
-	restricted := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-		if banned[[2]string{e.From, e.To}] || banned[[2]string{e.To, e.From}] {
-			return 0, false
-		}
-		return cost(e, snap)
+	sr := NewSearcher(s, cost)
+	si, d, err := sr.endpoints(src, dst)
+	if err != nil {
+		return nil, err
 	}
+	sr.banGen++
 	var paths []Path
 	for len(paths) < k {
-		p, err := ShortestPath(s, src, dst, restricted)
-		if err != nil {
+		sr.search(&sr.spur, si, d)
+		if !sr.spur.has(d) {
 			if len(paths) == 0 {
-				return nil, err
+				return nil, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
 			}
 			break // no more disjoint capacity
 		}
-		paths = append(paths, p)
-		if len(p.Nodes) < 2 {
+		sr.arena = sr.arena[:0]
+		sr.trace(&sr.spur, d)
+		paths = append(paths, sr.path(src, sr.arena))
+		if si == d {
 			break // src == dst: the zero-hop path uses no edges; one copy suffices
 		}
-		for i := 0; i+1 < len(p.Nodes); i++ {
-			banned[[2]string{p.Nodes[i], p.Nodes[i+1]}] = true
+		for _, j := range sr.arena { // ban used links in both directions
+			sr.banEdge[j] = sr.banGen
+			if r, ok := s.EdgeIndex(sr.to[j], s.EdgeFrom(j)); ok {
+				sr.banEdge[r] = sr.banGen
+			}
 		}
 	}
 	return paths, nil

@@ -24,11 +24,7 @@ func NewEdgeLoad(s *topo.Snapshot) *EdgeLoad {
 		used: make(map[[2]string]float64),
 		caps: make(map[[2]string]float64),
 	}
-	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
-			l.caps[[2]string{e.From, e.To}] = e.CapacityBps
-		}
-	}
+	s.Edges(func(e topo.Edge) { l.caps[[2]string{e.From, e.To}] = e.CapacityBps })
 	return l
 }
 

@@ -123,7 +123,7 @@ func TestQoSLoadPenaltySaturatedUnusable(t *testing.T) {
 	// Saturate one edge fully; its cost function must mark it unusable.
 	var e topo.Edge
 	for _, id := range s.Nodes() {
-		if es := s.Neighbors(id); len(es) > 0 {
+		if es := neighbors(s, id); len(es) > 0 {
 			e = es[0]
 			break
 		}

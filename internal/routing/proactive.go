@@ -18,6 +18,7 @@ type ProactiveRouter struct {
 	cost CostFunc
 
 	mu     sync.Mutex
+	sr     *Searcher // bound to the snapshot searched last
 	tables map[tableKey]*table
 }
 
@@ -38,36 +39,41 @@ func NewProactiveRouter(te *topo.TimeExpanded, cost CostFunc) *ProactiveRouter {
 	return &ProactiveRouter{te: te, cost: cost, tables: make(map[tableKey]*table)}
 }
 
-// Route returns the full path from src to dst valid at time t.
+// Route returns the full path from src to dst valid at time t. Routes on
+// one snapshot share a searcher.
 func (r *ProactiveRouter) Route(t float64, src, dst string) (Path, error) {
 	snap := r.te.At(t)
 	if snap == nil {
 		return Path{}, fmt.Errorf("routing: proactive: no snapshot at t=%.1f", t)
 	}
-	return ShortestPath(snap, src, dst, r.cost)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sr == nil || r.sr.snap != snap {
+		r.sr = NewSearcher(snap, r.cost)
+	}
+	return r.sr.ShortestPath(src, dst)
 }
 
 // NextHop returns the precomputed next hop from node toward dst at time t —
 // the per-satellite forwarding decision. Tables are built on first use per
 // (snapshot, destination) with a single reverse Dijkstra, exploiting
-// symmetric edges.
+// symmetric edges: the predecessor toward dst is the next hop from each
+// node.
 func (r *ProactiveRouter) NextHop(t float64, node, dst string) (string, error) {
 	snap := r.te.At(t)
 	if snap == nil {
 		return "", fmt.Errorf("routing: proactive: no snapshot at t=%.1f", t)
 	}
-	idx := r.snapIndex(snap)
-	key := tableKey{snapIdx: idx, dst: dst}
-
+	key := tableKey{snapIdx: r.snapIndex(snap), dst: dst}
 	r.mu.Lock()
 	tab, ok := r.tables[key]
 	r.mu.Unlock()
 	if !ok {
-		var err error
-		tab, err = r.buildTable(snap, dst)
+		dist, next, err := Tree(snap, dst, r.cost)
 		if err != nil {
 			return "", err
 		}
+		tab = &table{next: next, dist: dist}
 		r.mu.Lock()
 		r.tables[key] = tab
 		r.mu.Unlock()
@@ -77,20 +83,6 @@ func (r *ProactiveRouter) NextHop(t float64, node, dst string) (string, error) {
 		return "", fmt.Errorf("%w: %s → %s at t=%.1f", ErrNoPath, node, dst, t)
 	}
 	return hop, nil
-}
-
-// buildTable runs Dijkstra rooted at dst; because every edge has a
-// symmetric twin, the predecessor toward dst is the next hop from each node.
-func (r *ProactiveRouter) buildTable(snap *topo.Snapshot, dst string) (*table, error) {
-	dist, prev, err := Tree(snap, dst, r.cost)
-	if err != nil {
-		return nil, err
-	}
-	next := make(map[string]string, len(prev))
-	for node, p := range prev {
-		next[node] = p
-	}
-	return &table{next: next, dist: dist}, nil
 }
 
 func (r *ProactiveRouter) snapIndex(snap *topo.Snapshot) int {

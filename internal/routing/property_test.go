@@ -26,7 +26,7 @@ func bruteForceShortest(s *topo.Snapshot, src, dst string, cost CostFunc) float6
 			return
 		}
 		visited[at] = true
-		for _, e := range s.Neighbors(at) {
+		for _, e := range neighbors(s, at) {
 			if visited[e.To] {
 				continue
 			}
@@ -110,7 +110,7 @@ func TestKShortestCostsMatchBruteForceEnumeration(t *testing.T) {
 				return
 			}
 			visited[at] = true
-			for _, e := range snap.Neighbors(at) {
+			for _, e := range neighbors(snap, at) {
 				if visited[e.To] {
 					continue
 				}

@@ -219,3 +219,10 @@ func TestRFPenaltySteersToLaser(t *testing.T) {
 		t.Errorf("RF penalty increased RF hops: %d → %d", plainRF, prefRF)
 	}
 }
+
+// neighbors collects the live outgoing edges of id.
+func neighbors(s *topo.Snapshot, id string) []topo.Edge {
+	var es []topo.Edge
+	s.Neighbors(id, func(e topo.Edge) { es = append(es, e) })
+	return es
+}

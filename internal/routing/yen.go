@@ -1,7 +1,8 @@
 package routing
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"github.com/openspace-project/openspace/internal/topo"
 )
@@ -12,134 +13,124 @@ import (
 // load makes a slightly longer same-provider path preferable — the economics
 // layer compares alternatives produced here.
 func KShortestPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]Path, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	first, err := ShortestPath(s, src, dst, cost)
-	if err != nil {
+	sr := NewSearcher(s, cost)
+	var paths []Path
+	if err := sr.KShortestEdges(src, dst, k, func(edges []int32) {
+		paths = append(paths, sr.path(src, edges))
+	}); err != nil {
 		return nil, err
-	}
-	paths := []Path{first}
-	var candidates []Path
-
-	for len(paths) < k {
-		prevPath := paths[len(paths)-1].Nodes
-		// For each spur node in the previous path, search for a deviation.
-		for i := 0; i < len(prevPath)-1; i++ {
-			spur := prevPath[i]
-			rootNodes := prevPath[:i+1]
-
-			// Edges to exclude: the next hop of every accepted path that
-			// shares this root.
-			banEdge := map[[2]string]bool{}
-			for _, p := range paths {
-				if len(p.Nodes) > i && equalPrefix(p.Nodes, rootNodes) {
-					banEdge[[2]string{p.Nodes[i], p.Nodes[i+1]}] = true
-				}
-			}
-			// Nodes of the root (except the spur) are excluded to keep
-			// paths loopless.
-			banNode := map[string]bool{}
-			for _, n := range rootNodes[:len(rootNodes)-1] {
-				banNode[n] = true
-			}
-			restricted := func(e topo.Edge, snap *topo.Snapshot) (float64, bool) {
-				if banNode[e.To] || banNode[e.From] || banEdge[[2]string{e.From, e.To}] {
-					return 0, false
-				}
-				return cost(e, snap)
-			}
-			spurPath, err := ShortestPath(s, spur, dst, restricted)
-			if err != nil {
-				continue
-			}
-			total := joinPaths(s, rootNodes, spurPath.Nodes, cost)
-			if total != nil && !containsPath(paths, total.Nodes) && !containsPath(candidates, total.Nodes) {
-				candidates = append(candidates, *total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].Cost != candidates[b].Cost { //lint:allow floateq exact sort tie-break keeps k-path order deterministic
-				return candidates[a].Cost < candidates[b].Cost
-			}
-			return lessNodes(candidates[a].Nodes, candidates[b].Nodes)
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
 	}
 	return paths, nil
 }
 
-func equalPrefix(nodes, prefix []string) bool {
-	if len(nodes) < len(prefix) {
-		return false
+// KShortestEdges runs KShortestPaths on the searcher and calls fn with each
+// path's CSR edges in rank order; the slice is only valid during the call.
+// Calls with the same src take their first path from one shortest-path
+// tree.
+func (sr *Searcher) KShortestEdges(src, dst string, k int, fn func(edges []int32)) error {
+	if k <= 0 {
+		return nil
 	}
-	for i := range prefix {
-		if nodes[i] != prefix[i] {
-			return false
-		}
+	s, d, err := sr.endpoints(src, dst)
+	if err != nil {
+		return err
 	}
-	return true
+	sr.grow(s)
+	if !sr.tree.has(d) {
+		return fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
+	}
+	sr.yen(s, d, k)
+	for _, p := range sr.accepted {
+		fn(sr.arena[p.at : p.at+p.n])
+	}
+	return nil
 }
 
-func containsPath(paths []Path, nodes []string) bool {
-	for _, p := range paths {
-		if len(p.Nodes) != len(nodes) {
-			continue
-		}
-		same := true
-		for i := range nodes {
-			if p.Nodes[i] != nodes[i] {
-				same = false
-				break
+// yen fills sr.accepted with up to k loopless s→d paths in Yen order,
+// starting from the path in sr.tree, which must hold the tree from s and
+// reach d. Paths are edge sequences from s, so equal
+// node prefixes are equal edge prefixes; the spur bans (the next hop of
+// every accepted path sharing the root, and the root's nodes before the
+// spur) are ban stamps.
+func (sr *Searcher) yen(s, d int32, k int) {
+	sr.arena, sr.accepted, sr.cands = sr.arena[:0], sr.accepted[:0], sr.cands[:0]
+	sr.trace(&sr.tree, d)
+	sr.accepted = append(sr.accepted, span{cost: sr.tree.dist[d], n: int32(len(sr.arena))})
+	for len(sr.accepted) < k {
+		last := sr.accepted[len(sr.accepted)-1]
+		for i := int32(0); i < last.n; i++ {
+			root := sr.arena[last.at : last.at+i]
+			sr.banGen++
+			for _, p := range sr.accepted {
+				if p.n > i && slices.Equal(sr.arena[p.at:p.at+i], root) {
+					sr.banEdge[sr.arena[p.at+i]] = sr.banGen
+				}
+			}
+			spur := s
+			for _, j := range root {
+				sr.banNode[spur] = sr.banGen
+				spur = sr.to[j]
+			}
+			sr.search(&sr.spur, spur, d)
+			if sr.spur.has(d) {
+				sr.candidate(last.at, i, d)
 			}
 		}
-		if same {
-			return true
+		if len(sr.cands) == 0 {
+			break
 		}
+		best := 0
+		for c := range sr.cands {
+			if sr.less(sr.cands[c], sr.cands[best]) {
+				best = c
+			}
+		}
+		sr.accepted = append(sr.accepted, sr.cands[best])
+		sr.cands[best] = sr.cands[len(sr.cands)-1]
+		sr.cands = sr.cands[:len(sr.cands)-1]
 	}
-	return false
 }
 
-func lessNodes(a, b []string) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// candidate joins the first i edges of the path at arena[from:] with the
+// spur search's path to d, unless that path is already known. The cost is
+// re-summed edge by edge from s, never root plus spur cost, so it is
+// bit-identical to the same path's cost found directly.
+//
+//lint:hotpath
+func (sr *Searcher) candidate(from, i, d int32) {
+	at := int32(len(sr.arena))
+	sr.arena = append(sr.arena, sr.arena[from:from+i]...)
+	sr.trace(&sr.spur, d)
+	c := span{at: at, n: int32(len(sr.arena)) - at}
+	for _, j := range sr.arena[at:] {
+		c.cost += sr.w[j]
+	}
+	for _, p := range sr.accepted {
+		if slices.Equal(sr.arena[p.at:p.at+p.n], sr.arena[at:]) {
+			sr.arena = sr.arena[:at]
+			return
 		}
 	}
-	return len(a) < len(b)
+	for _, p := range sr.cands {
+		if slices.Equal(sr.arena[p.at:p.at+p.n], sr.arena[at:]) {
+			sr.arena = sr.arena[:at]
+			return
+		}
+	}
+	sr.cands = append(sr.cands, c)
 }
 
-// joinPaths concatenates root (ending at the spur) with spurPath (starting
-// at the spur) and recomputes stats; returns nil if the join would loop.
-func joinPaths(s *topo.Snapshot, root, spurPath []string, cost CostFunc) *Path {
-	nodes := make([]string, 0, len(root)+len(spurPath)-1)
-	nodes = append(nodes, root...)
-	nodes = append(nodes, spurPath[1:]...)
-	seen := map[string]bool{}
-	for _, n := range nodes {
-		if seen[n] {
-			return nil
-		}
-		seen[n] = true
+// less orders candidates by cost, ties broken by node sequence: node
+// indices follow ID order and every path starts at s, so comparing hop
+// destinations orders paths as comparing their IDs does.
+func (sr *Searcher) less(a, b span) bool {
+	if a.cost != b.cost { //lint:allow floateq exact sort tie-break keeps k-path order deterministic
+		return a.cost < b.cost
 	}
-	var edges []topo.Edge
-	var total float64
-	for i := 0; i+1 < len(nodes); i++ {
-		e, ok := s.Edge(nodes[i], nodes[i+1])
-		if !ok {
-			return nil
+	for i := int32(0); i < a.n && i < b.n; i++ {
+		if x, y := sr.to[sr.arena[a.at+i]], sr.to[sr.arena[b.at+i]]; x != y {
+			return x < y
 		}
-		w, usable := cost(e, s)
-		if !usable {
-			return nil
-		}
-		total += w
-		edges = append(edges, e)
 	}
-	p := statsFromEdges(nodes, total, edges)
-	return &p
+	return a.n < b.n
 }

@@ -4,10 +4,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
+	"github.com/openspace-project/openspace/internal/phy"
 )
 
 // builder constructs snapshots of one fixed deployment (satellites,
@@ -34,6 +34,13 @@ type builder struct {
 
 	entities []groundEntity // grounds then users, flattened
 
+	// The node table every snapshot of this builder shares: IDs in sorted
+	// order, and each satellite's and ground entity's index into it.
+	ids    []string
+	index  map[string]int32
+	satIdx []int32
+	entIdx []int32
+
 	maxISLKm     float64  // global candidate radius for geometric ISL wiring
 	attachKm     float64  // ground↔satellite candidate radius
 	staticPairs  [][2]int // resolved Config.StaticISLs; nil = geometric rule
@@ -49,6 +56,8 @@ type builder struct {
 	pos      []geo.Vec3     //lint:scratch
 	feasible []feasiblePair //lint:scratch
 	degree   []int          //lint:scratch
+	half     []halfEdge     //lint:scratch
+	links    []Edge         //lint:scratch — attributes of each undirected link
 
 	// Watch lists and their validity window.
 	watchISL    [][2]int
@@ -93,6 +102,8 @@ func newBuilder(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSp
 			capBps: cfg.AccessBps, ll: u.Pos, pos: u.Pos.Vec3(0),
 		})
 	}
+
+	b.indexNodes()
 
 	// Orbit envelopes: apogee bounds the altitude a ground terminal can
 	// see; vis-viva at perigee plus the frame-rotation term bounds any
@@ -139,6 +150,31 @@ func newBuilder(cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSp
 	b.skinISLKm = math.Max(1, 0.15*b.maxISLKm)
 	b.skinGroundKm = math.Max(1, 0.15*b.attachKm)
 	return b
+}
+
+// indexNodes numbers the deployment's nodes in sorted-ID order. A later
+// spec reusing an ID takes over its node, as it always has.
+func (b *builder) indexNodes() {
+	ids := make([]string, 0, len(b.sats)+len(b.entities))
+	for i := range b.sats {
+		ids = append(ids, b.sats[i].ID)
+	}
+	for k := range b.entities {
+		ids = append(ids, b.entities[k].id)
+	}
+	slices.Sort(ids)
+	b.ids = slices.Compact(ids)
+	b.index = make(map[string]int32, len(b.ids))
+	for i, id := range b.ids {
+		b.index[id] = int32(i)
+	}
+	b.satIdx, b.entIdx = make([]int32, len(b.sats)), make([]int32, len(b.entities))
+	for i := range b.sats {
+		b.satIdx[i] = b.index[b.sats[i].ID]
+	}
+	for k := range b.entities {
+		b.entIdx[k] = b.index[b.entities[k].id]
+	}
 }
 
 // resolveStaticISLs maps an explicit wiring plan onto satellite indices,
@@ -223,14 +259,10 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 		b.refreshWatch(t)
 	}
 
-	s := &Snapshot{
-		TimeS: t,
-		nodes: make(map[string]*Node, len(b.sats)+len(b.entities)),
-		adj:   make(map[string][]Edge),
-	}
+	nodes := make([]Node, len(b.ids))
 	for i := range b.sats {
 		sp := &b.sats[i]
-		s.nodes[sp.ID] = &Node{
+		nodes[b.satIdx[i]] = Node{
 			ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider,
 			Pos: b.pos[i], HasLaser: sp.HasLaser,
 		}
@@ -241,8 +273,9 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 		if e.kind == LinkAccess {
 			kind = KindUser
 		}
-		s.nodes[e.id] = &Node{ID: e.id, Kind: kind, Provider: e.provider, Pos: e.pos}
+		nodes[b.entIdx[k]] = Node{ID: e.id, Kind: kind, Provider: e.provider, Pos: e.pos}
 	}
+	b.half, b.links = b.half[:0], b.links[:0]
 
 	// Inter-satellite links: exact feasibility over the candidate pairs,
 	// shortest first, accepted greedily under per-satellite degree caps —
@@ -265,7 +298,7 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 		if b.sats[p.i].HasLaser && b.sats[p.j].HasLaser && p.d <= b.cfg.LaserRangeKm {
 			kind, capBps = LinkISLLaser, b.cfg.LaserISLBps
 		}
-		s.addBidirectional(b.sats[p.i].ID, b.sats[p.j].ID, kind, p.d, capBps,
+		b.addBidirectional(b.satIdx[p.i], b.satIdx[p.j], kind, p.d, capBps,
 			b.sats[p.i].Provider != b.sats[p.j].Provider)
 	}
 
@@ -278,18 +311,23 @@ func (b *builder) SnapshotAt(t float64) *Snapshot {
 				continue
 			}
 			d := e.pos.DistanceKm(b.pos[i])
-			s.addBidirectional(e.id, b.sats[i].ID, e.kind, d, e.capBps,
+			b.addBidirectional(b.entIdx[k], b.satIdx[i], e.kind, d, e.capBps,
 				e.provider != b.sats[i].Provider)
 		}
 	}
 
-	// Deterministic adjacency order. Edge targets are unique within one
-	// adjacency list, so the comparator is a total order and the sorted
-	// sequence is algorithm-independent.
-	for id := range s.adj {
-		slices.SortFunc(s.adj[id], func(x, y Edge) int { return strings.Compare(x.To, y.To) })
-	}
-	return s
+	// Deterministic adjacency order: assemble sorts each row by
+	// destination index, which is destination-ID order.
+	return assemble(t, b.ids, b.index, nodes, b.half, b.links)
+}
+
+// addBidirectional records a link between nodes a and c and both of its
+// directions in the builder's scratch.
+func (b *builder) addBidirectional(a, c int32, kind LinkKind, distKm, capBps float64, cross bool) {
+	l := int32(len(b.links))
+	b.links = append(b.links, Edge{Kind: kind, DistanceKm: distKm, DelayS: distKm / phy.SpeedOfLightKmS,
+		CapacityBps: capBps, CrossOwner: cross})
+	b.half = append(b.half, halfEdge{from: a, to: c, link: l}, halfEdge{from: c, to: a, link: l})
 }
 
 // feasibleISLs refreshes the sorted feasible-pair scratch from the

@@ -116,7 +116,7 @@ func TestStaticISLWiring(t *testing.T) {
 	}, pairs...)
 	snap := Build(0, cfg, specs, nil, nil)
 	for _, id := range snap.Nodes() {
-		es := snap.Neighbors(id)
+		es := neighbors(snap, id)
 		if len(es) > 4 {
 			t.Fatalf("sat %s has %d ISLs, +Grid caps at 4", id, len(es))
 		}

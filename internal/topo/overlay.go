@@ -17,10 +17,10 @@ type Mask interface {
 
 // Overlay returns the degraded view of s under m: masked nodes disappear
 // along with their incident edges, and masked links disappear in both
-// directions. Geometry is never rebuilt — node pointers and edge values are
-// shared with the original snapshot, and adjacency slices are shared
-// whenever the mask does not touch them, so an overlay costs one filtered
-// pass over the adjacency lists rather than an O(N²) feasibility build.
+// directions. The view is a mask, not a copy: it shares s's node table,
+// numbering and CSR adjacency (no Node or Edge value is copied) and adds
+// one node and one edge down-set, filled in a single pass over the graph.
+// Overlays stack: a view of a view carries the union of both masks.
 //
 // A nil or empty mask returns s itself: fault injection disabled is a
 // provable no-op, which is what lets every fault-free experiment regenerate
@@ -29,44 +29,37 @@ func (s *Snapshot) Overlay(m Mask) *Snapshot {
 	if m == nil || m.Empty() {
 		return s
 	}
+	g := s.g
 	out := &Snapshot{
-		TimeS: s.TimeS,
-		nodes: make(map[string]*Node, len(s.nodes)),
-		adj:   make(map[string][]Edge),
+		TimeS:    s.TimeS,
+		g:        g,
+		nodeDown: make([]bool, len(g.ids)),
+		edgeDown: make([]bool, len(g.edges)),
 	}
-	for id, n := range s.nodes {
-		if m.NodeDown(id) {
-			continue
+	for i, id := range g.ids {
+		out.nodeDown[i] = (s.nodeDown != nil && s.nodeDown[i]) || m.NodeDown(id)
+		if !out.nodeDown[i] {
+			out.nodeCount++
 		}
-		out.nodes[id] = n
 	}
-	for id := range out.nodes {
-		es := s.adj[id]
-		drop := 0
-		for _, e := range es {
-			if m.NodeDown(e.To) || m.EdgeDown(e.From, e.To) {
-				drop++
+	for i, id := range g.ids {
+		for j := g.offsets[i]; j < g.offsets[i+1]; j++ {
+			v := g.to[j]
+			down := out.nodeDown[i] || out.nodeDown[v] || !s.EdgeLive(j) || m.EdgeDown(id, g.ids[v])
+			out.edgeDown[j] = down
+			if !down {
+				out.edgeCount++
 			}
 		}
-		if drop == 0 {
-			if len(es) > 0 {
-				out.adj[id] = es // untouched list: share, don't copy
+	}
+	out.live = g.ids
+	if out.nodeCount < len(g.ids) {
+		out.live = make([]string, 0, out.nodeCount)
+		for i, id := range g.ids {
+			if !out.nodeDown[i] {
+				out.live = append(out.live, id)
 			}
-			out.edges += len(es)
-			continue
 		}
-		if drop == len(es) {
-			continue
-		}
-		kept := make([]Edge, 0, len(es)-drop)
-		for _, e := range es {
-			if m.NodeDown(e.To) || m.EdgeDown(e.From, e.To) {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		out.adj[id] = kept
-		out.edges += len(kept)
 	}
 	return out
 }

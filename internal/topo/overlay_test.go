@@ -1,6 +1,13 @@
 package topo
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/openspace-project/openspace/internal/geo"
+)
 
 // fakeMask is a test mask over explicit sets.
 type fakeMask struct {
@@ -102,8 +109,8 @@ func TestOverlayEdgeRemovalIsUndirected(t *testing.T) {
 		t.Errorf("NodeCount = %d, want all 4 nodes", d.NodeCount())
 	}
 	// Untouched adjacency lists are shared with the original.
-	if len(d.Neighbors("a")) != 1 {
-		t.Errorf("a's neighbours = %d, want 1", len(d.Neighbors("a")))
+	if len(neighbors(d, "a")) != 1 {
+		t.Errorf("a's neighbours = %d, want 1", len(neighbors(d, "a")))
 	}
 }
 
@@ -114,5 +121,100 @@ func TestOverlayStacks(t *testing.T) {
 	if d2.EdgeCount() != 2 || d2.NodeCount() != 3 {
 		t.Errorf("stacked overlay: %d nodes / %d edges, want 3 / 2",
 			d2.NodeCount(), d2.EdgeCount())
+	}
+}
+
+// filteredCopy builds the degraded snapshot the way overlays used to be
+// built: copy the surviving nodes, then every edge whose endpoints both
+// survive and whose link is not masked.
+func filteredCopy(t *testing.T, s *Snapshot, m Mask) *Snapshot {
+	t.Helper()
+	var nodes []Node
+	var edges []Edge
+	for _, id := range s.Nodes() {
+		if m.NodeDown(id) {
+			continue
+		}
+		nodes = append(nodes, *s.Node(id))
+		for _, e := range neighbors(s, id) {
+			if !m.NodeDown(e.To) && !m.EdgeDown(e.From, e.To) {
+				edges = append(edges, e)
+			}
+		}
+	}
+	c, err := NewSnapshot(s.TimeS, nodes, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestOverlayMatchesFilteredCopy pins the masked view against a filtered
+// copy on an Iridium snapshot with a ground segment, over random node and
+// link masks, and over a stacked overlay.
+func TestOverlayMatchesFilteredCopy(t *testing.T) {
+	grounds := []GroundSpec{{ID: "gs", Provider: "A", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
+	users := []UserSpec{{ID: "u", Provider: "B", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}}
+	s := Build(0, DefaultConfig(), iridiumSpecs(t, 2, true), grounds, users)
+	ids := s.Nodes()
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 30; trial++ {
+		m := fakeMask{nodes: map[string]bool{}, edges: map[[2]string]bool{}}
+		for i := 0; i < trial%7; i++ {
+			m.nodes[ids[rng.Intn(len(ids))]] = true
+		}
+		for _, e := range neighbors(s, ids[rng.Intn(len(ids))]) {
+			if rng.Intn(2) == 0 {
+				a, b := e.From, e.To
+				if a > b {
+					a, b = b, a
+				}
+				m.edges[[2]string{a, b}] = true
+			}
+		}
+		got := s.Overlay(m)
+		if trial%3 == 2 { // stack a second, node-only mask on top
+			m2 := fakeMask{nodes: map[string]bool{ids[rng.Intn(len(ids))]: true}}
+			got = got.Overlay(m2)
+			for id := range m2.nodes {
+				m.nodes[id] = true
+			}
+		}
+		if m.Empty() {
+			continue
+		}
+		want := filteredCopy(t, s, m)
+		label := fmt.Sprintf("trial %d", trial)
+		if !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+			t.Fatalf("%s: Nodes %v, want %v", label, got.Nodes(), want.Nodes())
+		}
+		if got.NodeCount() != want.NodeCount() || got.EdgeCount() != want.EdgeCount() {
+			t.Fatalf("%s: %d nodes / %d edges, want %d / %d", label,
+				got.NodeCount(), got.EdgeCount(), want.NodeCount(), want.EdgeCount())
+		}
+		for _, a := range ids {
+			if (got.Node(a) == nil) != (want.Node(a) == nil) {
+				t.Fatalf("%s: Node(%s) visibility differs", label, a)
+			}
+			if !reflect.DeepEqual(neighbors(got, a), neighbors(want, a)) {
+				t.Fatalf("%s: neighbours of %s differ", label, a)
+			}
+			for _, b := range ids {
+				ge, gok := got.Edge(a, b)
+				we, wok := want.Edge(a, b)
+				if gok != wok || ge != we {
+					t.Fatalf("%s: Edge(%s, %s) = %+v %v, want %+v %v", label, a, b, ge, gok, we, wok)
+				}
+			}
+		}
+		var all []Edge
+		got.Edges(func(e Edge) { all = append(all, e) })
+		var wantAll []Edge
+		for _, id := range want.Nodes() {
+			wantAll = append(wantAll, neighbors(want, id)...)
+		}
+		if !reflect.DeepEqual(all, wantAll) {
+			t.Fatalf("%s: Edges walk differs from the per-node walks", label)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
+	"github.com/openspace-project/openspace/internal/phy"
 )
 
 // bruteFeasibleISLs is the reference O(N²) feasibility scan the spatial
@@ -154,17 +155,24 @@ func TestBuildMatchesBruteForceSnapshot(t *testing.T) {
 // bruteForceBuild reimplements snapshot assembly with the original
 // quadratic scans, as the oracle for TestBuildMatchesBruteForceSnapshot.
 func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *Snapshot {
-	s := &Snapshot{TimeS: t, nodes: make(map[string]*Node), adj: make(map[string][]Edge)}
+	var nodes []Node
+	var edges []Edge
+	addBidirectional := func(a, b string, kind LinkKind, distKm, capBps float64, cross bool) {
+		delay := distKm / phy.SpeedOfLightKmS
+		edges = append(edges,
+			Edge{From: a, To: b, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross},
+			Edge{From: b, To: a, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross})
+	}
 	pos := make([]geo.Vec3, len(sats))
 	for i, sp := range sats {
 		pos[i] = sp.Elements.PositionECEF(t)
-		s.nodes[sp.ID] = &Node{ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider, Pos: pos[i], HasLaser: sp.HasLaser}
+		nodes = append(nodes, Node{ID: sp.ID, Kind: KindSatellite, Provider: sp.Provider, Pos: pos[i], HasLaser: sp.HasLaser})
 	}
 	for _, g := range grounds {
-		s.nodes[g.ID] = &Node{ID: g.ID, Kind: KindGroundStation, Provider: g.Provider, Pos: g.Pos.Vec3(0)}
+		nodes = append(nodes, Node{ID: g.ID, Kind: KindGroundStation, Provider: g.Provider, Pos: g.Pos.Vec3(0)})
 	}
 	for _, u := range users {
-		s.nodes[u.ID] = &Node{ID: u.ID, Kind: KindUser, Provider: u.Provider, Pos: u.Pos.Vec3(0)}
+		nodes = append(nodes, Node{ID: u.ID, Kind: KindUser, Provider: u.Provider, Pos: u.Pos.Vec3(0)})
 	}
 	type pair struct {
 		i, j int
@@ -200,7 +208,7 @@ func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec
 		if sats[p.i].HasLaser && sats[p.j].HasLaser && p.d <= cfg.LaserRangeKm {
 			kind, capBps = LinkISLLaser, cfg.LaserISLBps
 		}
-		s.addBidirectional(sats[p.i].ID, sats[p.j].ID, kind, p.d, capBps,
+		addBidirectional(sats[p.i].ID, sats[p.j].ID, kind, p.d, capBps,
 			sats[p.i].Provider != sats[p.j].Provider)
 	}
 	attach := func(id, provider string, ll geo.LatLon, kind LinkKind, capBps float64) {
@@ -209,7 +217,7 @@ func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec
 			if geo.ElevationDeg(ll, pos[i]) < cfg.MinElevationDeg {
 				continue
 			}
-			s.addBidirectional(id, sat.ID, kind, gp.DistanceKm(pos[i]), capBps, provider != sat.Provider)
+			addBidirectional(id, sat.ID, kind, gp.DistanceKm(pos[i]), capBps, provider != sat.Provider)
 		}
 	}
 	for _, g := range grounds {
@@ -218,9 +226,10 @@ func bruteForceBuild(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec
 	for _, u := range users {
 		attach(u.ID, u.Provider, u.Pos, LinkAccess, cfg.AccessBps)
 	}
-	for id := range s.adj {
-		es := s.adj[id]
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
+	// NewSnapshot orders each node's edges by destination ID.
+	s, err := NewSnapshot(t, nodes, edges)
+	if err != nil {
+		panic(err)
 	}
 	return s
 }
@@ -243,7 +252,7 @@ func assertSnapshotsEqual(t *testing.T, label string, got, want *Snapshot) {
 		if gn, wn := *got.Node(id), *want.Node(id); gn != wn {
 			t.Fatalf("%s: node %q: %+v != %+v", label, id, gn, wn)
 		}
-		ge, we := got.Neighbors(id), want.Neighbors(id)
+		ge, we := neighbors(got, id), neighbors(want, id)
 		if len(ge) != len(we) {
 			t.Fatalf("%s: node %q: %d edges != %d", label, id, len(ge), len(we))
 		}

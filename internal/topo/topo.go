@@ -13,6 +13,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -92,45 +93,165 @@ type Edge struct {
 	CrossOwner  bool // endpoints belong to different providers
 }
 
-// Snapshot is the network graph at one instant.
+// Snapshot is the network graph at one instant. Nodes are numbered densely
+// in sorted-ID order, and adjacency is stored in compressed sparse rows
+// (CSR) whose rows are sorted by destination, so an index-ordered walk
+// visits nodes and edges in sorted-ID order. String IDs appear only at the
+// API edges: Node, Nodes, Edge, and each Edge's From/To. An overlay shares
+// the graph with its parent and adds down-sets.
 type Snapshot struct {
 	TimeS float64
-	nodes map[string]*Node
-	adj   map[string][]Edge
-	edges int // directed edge count
+	g     *graph
+	// Down-sets of a masked view, indexed like the graph; nil on an
+	// intact snapshot.
+	nodeDown, edgeDown []bool
+	live               []string // sorted IDs of the live nodes
+	nodeCount          int      // live nodes
+	edgeCount          int      // live directed edges
 }
 
-// Node returns the node with the given ID, or nil.
-func (s *Snapshot) Node(id string) *Node { return s.nodes[id] }
+// graph is the immutable node table and CSR adjacency a snapshot and all
+// of its overlays share.
+type graph struct {
+	ids     []string         // sorted node IDs; a node's index is its position
+	index   map[string]int32 // ID → index
+	nodes   []Node           // parallel to ids
+	offsets []int32          // CSR row starts, len(ids)+1
+	edges   []Edge           // CSR edge table
+	from    []int32          // source index of each edge, parallel to edges
+	to      []int32          // destination index of each edge, parallel to edges
+}
 
-// Nodes returns all node IDs in deterministic (sorted) order.
-func (s *Snapshot) Nodes() []string {
-	ids := make([]string, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
+// halfEdge is one directed edge before CSR assembly: endpoints as node
+// indices, and the link whose attributes it carries.
+type halfEdge struct{ from, to, link int32 }
+
+// assemble builds the CSR graph over the sorted node table from directed
+// edges given in any order, which it sorts in place by (from, to): each
+// row comes out in destination-index order, which is destination-ID
+// order. (from, to) pairs must be unique. Each edge takes its attributes
+// from links[link] and its From/To from the node table.
+func assemble(t float64, ids []string, index map[string]int32, nodes []Node, half []halfEdge, links []Edge) *Snapshot {
+	slices.SortFunc(half, func(x, y halfEdge) int {
+		if x.from != y.from {
+			return int(x.from - y.from)
+		}
+		return int(x.to - y.to)
+	})
+	g := &graph{
+		ids: ids, index: index, nodes: nodes,
+		offsets: make([]int32, len(ids)+1),
+		edges:   make([]Edge, len(half)),
+		from:    make([]int32, len(half)),
+		to:      make([]int32, len(half)),
 	}
-	sort.Strings(ids)
-	return ids
+	for j, h := range half {
+		g.edges[j] = links[h.link]
+		g.edges[j].From, g.edges[j].To = ids[h.from], ids[h.to]
+		g.from[j], g.to[j] = h.from, h.to
+		g.offsets[h.from+1]++
+	}
+	for i := range ids {
+		g.offsets[i+1] += g.offsets[i]
+	}
+	return &Snapshot{TimeS: t, g: g, live: ids, nodeCount: len(ids), edgeCount: len(half)}
 }
 
-// Neighbors returns the outgoing edges of id.
-func (s *Snapshot) Neighbors(id string) []Edge { return s.adj[id] }
+// Node returns the node with the given ID, or nil if it is unknown or
+// masked.
+func (s *Snapshot) Node(id string) *Node {
+	i, ok := s.NodeIndex(id)
+	if !ok {
+		return nil
+	}
+	return &s.g.nodes[i]
+}
 
-// NodeCount returns the number of nodes.
-func (s *Snapshot) NodeCount() int { return len(s.nodes) }
+// Nodes returns the live node IDs in sorted order. The slice is shared
+// with the snapshot and must not be modified.
+func (s *Snapshot) Nodes() []string { return s.live }
 
-// EdgeCount returns the number of directed edges.
-func (s *Snapshot) EdgeCount() int { return s.edges }
+// NodeCount returns the number of live nodes.
+func (s *Snapshot) NodeCount() int { return s.nodeCount }
 
-// Edge returns the edge from → to if present.
+// EdgeCount returns the number of live directed edges.
+func (s *Snapshot) EdgeCount() int { return s.edgeCount }
+
+// Edge returns the live edge from → to if present.
 func (s *Snapshot) Edge(from, to string) (Edge, bool) {
-	for _, e := range s.adj[from] {
-		if e.To == to {
-			return e, true
+	u, okU := s.NodeIndex(from)
+	v, okV := s.NodeIndex(to)
+	if !okU || !okV {
+		return Edge{}, false
+	}
+	j, ok := s.EdgeIndex(u, v)
+	if !ok || !s.EdgeLive(j) {
+		return Edge{}, false
+	}
+	return s.g.edges[j], true
+}
+
+// Neighbors calls fn with each live outgoing edge of id, in
+// destination-ID order. The walk allocates nothing; an unknown or masked
+// id has no edges.
+func (s *Snapshot) Neighbors(id string, fn func(Edge)) {
+	if i, ok := s.NodeIndex(id); ok {
+		s.walk(s.g.offsets[i], s.g.offsets[i+1], fn)
+	}
+}
+
+// Edges calls fn with every live directed edge, in (From, To) ID order.
+func (s *Snapshot) Edges(fn func(Edge)) { s.walk(0, int32(len(s.g.edges)), fn) }
+
+// walk calls fn with the live CSR entries lo..hi.
+func (s *Snapshot) walk(lo, hi int32, fn func(Edge)) {
+	for j := lo; j < hi; j++ {
+		if s.EdgeLive(j) {
+			fn(s.g.edges[j])
 		}
 	}
-	return Edge{}, false
 }
+
+// NodeIndex returns the dense index of a live node.
+func (s *Snapshot) NodeIndex(id string) (int32, bool) {
+	i, ok := s.g.index[id]
+	if !ok || (s.nodeDown != nil && s.nodeDown[i]) {
+		return 0, false
+	}
+	return i, true
+}
+
+// NodeID returns the ID of the node with dense index i.
+func (s *Snapshot) NodeID(i int32) string { return s.g.ids[i] }
+
+// NodeSlots returns the size of the node index space: the node count of
+// the intact snapshot, masked nodes included.
+func (s *Snapshot) NodeSlots() int { return len(s.g.ids) }
+
+// CSR returns the row offsets (len NodeSlots()+1) and the destination
+// index of every edge slot, masked edges included. Both slices are shared
+// and must not be modified.
+func (s *Snapshot) CSR() (offsets, to []int32) { return s.g.offsets, s.g.to }
+
+// EdgeAt returns the edge in CSR slot j. The edge is shared and must not
+// be modified.
+func (s *Snapshot) EdgeAt(j int32) *Edge { return &s.g.edges[j] }
+
+// EdgeLive reports whether CSR slot j is visible in this view.
+func (s *Snapshot) EdgeLive(j int32) bool { return s.edgeDown == nil || !s.edgeDown[j] }
+
+// EdgeIndex returns the CSR slot of the edge from → to, masked or not.
+func (s *Snapshot) EdgeIndex(from, to int32) (int32, bool) {
+	for j := s.g.offsets[from]; j < s.g.offsets[from+1]; j++ {
+		if s.g.to[j] == to {
+			return j, true
+		}
+	}
+	return 0, false
+}
+
+// EdgeFrom returns the source node index of CSR slot j.
+func (s *Snapshot) EdgeFrom(j int32) int32 { return s.g.from[j] }
 
 // NewSnapshot assembles a snapshot directly from nodes and directed edges,
 // bypassing the orbital feasibility rules of Build. It is the synthetic-graph
@@ -140,24 +261,32 @@ func (s *Snapshot) Edge(from, to string) (Edge, bool) {
 // must name declared nodes, and duplicate directed edges are rejected so a
 // (from, to) pair identifies at most one link.
 func NewSnapshot(t float64, nodes []Node, edges []Edge) (*Snapshot, error) {
-	s := &Snapshot{
-		TimeS: t,
-		nodes: make(map[string]*Node, len(nodes)),
-		adj:   make(map[string][]Edge),
-	}
+	byID := make(map[string]int, len(nodes))
+	ids := make([]string, 0, len(nodes))
 	for i := range nodes {
-		n := nodes[i]
+		n := &nodes[i]
 		if n.ID == "" {
 			return nil, fmt.Errorf("topo: node %d has empty ID", i)
 		}
-		if _, dup := s.nodes[n.ID]; dup {
+		if _, dup := byID[n.ID]; dup {
 			return nil, fmt.Errorf("topo: duplicate node %q", n.ID)
 		}
-		s.nodes[n.ID] = &n
+		byID[n.ID] = i
+		ids = append(ids, n.ID)
+	}
+	sort.Strings(ids)
+	index := make(map[string]int32, len(ids))
+	table := make([]Node, len(ids))
+	for i, id := range ids {
+		index[id] = int32(i)
+		table[i] = nodes[byID[id]]
 	}
 	seen := make(map[[2]string]bool, len(edges))
-	for _, e := range edges {
-		if s.nodes[e.From] == nil || s.nodes[e.To] == nil {
+	half := make([]halfEdge, 0, len(edges))
+	for i, e := range edges {
+		from, okF := index[e.From]
+		to, okT := index[e.To]
+		if !okF || !okT {
 			return nil, fmt.Errorf("topo: edge %s→%s references unknown node", e.From, e.To)
 		}
 		if e.From == e.To {
@@ -168,14 +297,9 @@ func NewSnapshot(t float64, nodes []Node, edges []Edge) (*Snapshot, error) {
 			return nil, fmt.Errorf("topo: duplicate edge %s→%s", e.From, e.To)
 		}
 		seen[key] = true
-		s.adj[e.From] = append(s.adj[e.From], e)
-		s.edges++
+		half = append(half, halfEdge{from: from, to: to, link: int32(i)})
 	}
-	for id := range s.adj {
-		es := s.adj[id]
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
-	}
-	return s, nil
+	return assemble(t, ids, index, table, half, edges), nil
 }
 
 // SatSpec describes one satellite feeding a snapshot build.
@@ -268,11 +392,4 @@ func DefaultConfig() Config {
 // this.
 func Build(t float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) *Snapshot {
 	return newBuilder(cfg, sats, grounds, users).SnapshotAt(t)
-}
-
-func (s *Snapshot) addBidirectional(a, b string, kind LinkKind, distKm, capBps float64, cross bool) {
-	delay := distKm / phy.SpeedOfLightKmS
-	s.adj[a] = append(s.adj[a], Edge{From: a, To: b, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross})
-	s.adj[b] = append(s.adj[b], Edge{From: b, To: a, Kind: kind, DistanceKm: distKm, DelayS: delay, CapacityBps: capBps, CrossOwner: cross})
-	s.edges += 2
 }

@@ -60,7 +60,7 @@ func TestBuildBasicStructure(t *testing.T) {
 	}
 	// Every edge must be symmetric.
 	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
+		for _, e := range neighbors(s, id) {
 			back, ok := s.Edge(e.To, e.From)
 			if !ok {
 				t.Fatalf("edge %s→%s has no reverse", e.From, e.To)
@@ -72,14 +72,14 @@ func TestBuildBasicStructure(t *testing.T) {
 	}
 	// The user and ground station must each see at least one satellite
 	// (Iridium provides global coverage).
-	if len(s.Neighbors("u-0")) == 0 {
+	if len(neighbors(s, "u-0")) == 0 {
 		t.Error("user sees no satellites")
 	}
-	if len(s.Neighbors("gs-0")) == 0 {
+	if len(neighbors(s, "gs-0")) == 0 {
 		t.Error("ground station sees no satellites")
 	}
 	// Users and ground stations never connect to each other directly.
-	for _, e := range s.Neighbors("u-0") {
+	for _, e := range neighbors(s, "u-0") {
 		if s.Node(e.To).Kind != KindSatellite {
 			t.Errorf("user linked to non-satellite %s", e.To)
 		}
@@ -87,7 +87,7 @@ func TestBuildBasicStructure(t *testing.T) {
 			t.Errorf("user link kind %v", e.Kind)
 		}
 	}
-	for _, e := range s.Neighbors("gs-0") {
+	for _, e := range neighbors(s, "gs-0") {
 		if e.Kind != LinkGround {
 			t.Errorf("ground link kind %v", e.Kind)
 		}
@@ -98,7 +98,7 @@ func TestISLRangeAndLineOfSight(t *testing.T) {
 	s := Build(0, DefaultConfig(), iridiumSpecs(t, 1, false), nil, nil)
 	cfg := DefaultConfig()
 	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
+		for _, e := range neighbors(s, id) {
 			if e.Kind != LinkISLRF {
 				continue
 			}
@@ -121,7 +121,7 @@ func TestLaserPreferredWhenBothCapable(t *testing.T) {
 	s := Build(0, DefaultConfig(), sats, nil, nil)
 	laser, rf := 0, 0
 	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
+		for _, e := range neighbors(s, id) {
 			switch e.Kind {
 			case LinkISLLaser:
 				laser++
@@ -143,7 +143,7 @@ func TestLaserPreferredWhenBothCapable(t *testing.T) {
 	}
 	s = Build(0, DefaultConfig(), mixed, nil, nil)
 	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
+		for _, e := range neighbors(s, id) {
 			if e.Kind == LinkISLLaser {
 				if !s.Node(e.From).HasLaser || !s.Node(e.To).HasLaser {
 					t.Fatal("laser ISL with a non-laser endpoint")
@@ -161,7 +161,7 @@ func TestMaxISLsRespected(t *testing.T) {
 	s := Build(0, DefaultConfig(), sats, nil, nil)
 	for _, id := range s.Nodes() {
 		isls := 0
-		for _, e := range s.Neighbors(id) {
+		for _, e := range neighbors(s, id) {
 			if e.Kind == LinkISLRF || e.Kind == LinkISLLaser {
 				isls++
 			}
@@ -178,7 +178,7 @@ func TestCrossOwnerFlag(t *testing.T) {
 	s := Build(0, DefaultConfig(), sats, grounds, nil)
 	sawCross, sawSame := false, false
 	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
+		for _, e := range neighbors(s, id) {
 			a, b := s.Node(e.From), s.Node(e.To)
 			if e.CrossOwner != (a.Provider != b.Provider) {
 				t.Fatalf("edge %s→%s cross-owner flag wrong", e.From, e.To)
@@ -204,7 +204,7 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatal("builds differ in size")
 	}
 	for _, id := range a.Nodes() {
-		ea, eb := a.Neighbors(id), b.Neighbors(id)
+		ea, eb := neighbors(a, id), neighbors(b, id)
 		if len(ea) != len(eb) {
 			t.Fatalf("node %s adjacency differs", id)
 		}
@@ -269,7 +269,7 @@ func TestSnapshotTopologyEvolves(t *testing.T) {
 	s600 := Build(600, DefaultConfig(), sats, nil, nil)
 	diff := 0
 	for _, id := range s0.Nodes() {
-		for _, e := range s0.Neighbors(id) {
+		for _, e := range neighbors(s0, id) {
 			if _, ok := s600.Edge(e.From, e.To); !ok {
 				diff++
 			}
@@ -278,4 +278,11 @@ func TestSnapshotTopologyEvolves(t *testing.T) {
 	if diff == 0 {
 		t.Error("topology identical after 600 s; expected churn")
 	}
+}
+
+// neighbors collects the live outgoing edges of id.
+func neighbors(s *Snapshot, id string) []Edge {
+	var es []Edge
+	s.Neighbors(id, func(e Edge) { es = append(es, e) })
+	return es
 }

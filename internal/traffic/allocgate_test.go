@@ -21,7 +21,9 @@ func TestAllocGateDinic(t *testing.T) {
 	allocGate(t)
 	n := sharedBottleneck(t)
 	g := newDinicGraph(n)
-	s, d := g.index["a"], g.index["c"]
+	a, _ := n.Snap.NodeIndex("a")
+	c, _ := n.Snap.NodeIndex("c")
+	s, d := int(a), int(c)
 	want := g.solve(s, d)
 	run := func() {
 		g.reset()

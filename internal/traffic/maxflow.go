@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"github.com/openspace-project/openspace/internal/topo"
 )
 
 // CutLink is one saturated link of a minimum cut.
@@ -41,15 +43,14 @@ type arc struct {
 	cap, orig float64
 }
 
-// dinicGraph is the indexed residual graph. Node indices follow the sorted
-// snapshot node order, and arcs are inserted in sorted adjacency order, so
-// the augmenting sequence — and with it every reported flow and cut — is
+// dinicGraph is the indexed residual graph. Node indices are the
+// snapshot's (sorted-ID order), and arcs are inserted in CSR order, so the
+// augmenting sequence — and with it every reported flow and cut — is
 // deterministic.
 type dinicGraph struct {
-	nodes []string
-	index map[string]int
-	adj   [][]arc
-	eps   float64
+	snap *topo.Snapshot
+	adj  [][]arc
+	eps  float64
 	// Scratch reused across phases and solves: the steady-state kernel
 	// (solve/levels/augment) must not allocate (see TestAllocGateDinic)
 	// and nothing aliasing these may leave the receiver (scratchsafe).
@@ -59,32 +60,33 @@ type dinicGraph struct {
 }
 
 func newDinicGraph(n *Network) *dinicGraph {
-	ids := n.Snap.Nodes()
+	nn := n.Snap.NodeSlots()
 	g := &dinicGraph{
-		nodes: ids,
-		index: make(map[string]int, len(ids)),
-		adj:   make([][]arc, len(ids)),
+		snap:  n.Snap,
+		adj:   make([][]arc, nn),
 		eps:   n.eps(),
-		level: make([]int32, len(ids)),
-		queue: make([]int32, 0, len(ids)),
-		iter:  make([]int32, len(ids)),
+		level: make([]int32, nn),
+		queue: make([]int32, 0, nn),
+		iter:  make([]int32, nn),
 	}
-	for i, id := range ids {
-		g.index[id] = i
-	}
-	for _, id := range ids {
-		u := g.index[id]
-		for _, e := range n.Snap.Neighbors(id) {
-			c := n.CapacityBps(e.From, e.To)
-			if c <= 0 {
+	off, to := n.Snap.CSR()
+	for u := 0; u < nn; u++ {
+		for j := off[u]; j < off[u+1]; j++ {
+			c := n.caps[j]
+			if c <= 0 || !n.Snap.EdgeLive(j) {
 				continue
 			}
-			v := g.index[e.To]
-			g.adj[u] = append(g.adj[u], arc{to: int32(v), rev: int32(len(g.adj[v])), cap: c, orig: c})
+			v := to[j]
+			g.adj[u] = append(g.adj[u], arc{to: v, rev: int32(len(g.adj[v])), cap: c, orig: c})
 			g.adj[v] = append(g.adj[v], arc{to: int32(u), rev: int32(len(g.adj[u]) - 1), cap: 0, orig: 0})
 		}
 	}
 	return g
+}
+
+// linkID names the arc u→v.
+func (g *dinicGraph) linkID(u int, v int32) LinkID {
+	return LinkID{g.snap.NodeID(int32(u)), g.snap.NodeID(v)}
 }
 
 // levels rebuilds the BFS level graph from src over arcs with residual
@@ -179,20 +181,22 @@ func MaxFlow(n *Network, src, dst string) (*MaxFlowResult, error) {
 		return nil, fmt.Errorf("traffic: source and destination are both %q", src)
 	}
 	g := newDinicGraph(n)
-	s, t := g.index[src], g.index[dst]
+	si, _ := n.Snap.NodeIndex(src)
+	ti, _ := n.Snap.NodeIndex(dst)
+	s, t := int(si), int(ti)
 	value := g.solve(s, t)
 
 	res := &MaxFlowResult{ValueBps: value, Flow: make(map[LinkID]float64)}
 	for u := range g.adj {
 		for _, a := range g.adj[u] {
 			if flow := a.orig - a.cap; a.orig > 0 && flow > g.eps {
-				res.Flow[LinkID{g.nodes[u], g.nodes[a.to]}] = flow
+				res.Flow[g.linkID(u, a.to)] = flow
 			}
 		}
 	}
 	// Minimum cut: the saturated forward arcs crossing from the residual
 	// graph's src-reachable side to the rest.
-	reach := make([]bool, len(g.nodes))
+	reach := make([]bool, len(g.adj))
 	reach[s] = true
 	queue := []int{s}
 	for len(queue) > 0 {
@@ -212,7 +216,7 @@ func MaxFlow(n *Network, src, dst string) (*MaxFlowResult, error) {
 		for _, a := range g.adj[u] {
 			if a.orig > 0 && !reach[a.to] {
 				res.MinCut = append(res.MinCut, CutLink{
-					LinkID:      LinkID{g.nodes[u], g.nodes[a.to]},
+					LinkID:      g.linkID(u, a.to),
 					CapacityBps: a.orig,
 				})
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/openspace-project/openspace/internal/routing"
+	"github.com/openspace-project/openspace/internal/topo"
 )
 
 // AllocConfig parameterises the max-min fair allocator.
@@ -44,7 +45,7 @@ func (d *DemandAllocation) Satisfied() bool {
 type Allocation struct {
 	Demands  []DemandAllocation
 	net      *Network
-	linkLoad map[LinkID]float64
+	linkLoad []float64 // carried bps per CSR edge slot
 }
 
 var _ routing.LoadMap = (*Allocation)(nil)
@@ -52,11 +53,18 @@ var _ routing.LoadMap = (*Allocation)(nil)
 // Utilization implements routing.LoadMap: the carried fraction of the
 // directed link's capacity, in [0, 1].
 func (a *Allocation) Utilization(from, to string) float64 {
-	c := a.net.CapacityBps(from, to)
+	if j, ok := a.net.link(from, to); ok {
+		return a.utilization(j)
+	}
+	return 0
+}
+
+func (a *Allocation) utilization(j int32) float64 {
+	c := a.net.caps[j]
 	if c <= 0 {
 		return 0
 	}
-	u := a.linkLoad[LinkID{from, to}] / c
+	u := a.linkLoad[j] / c
 	if u > 1 {
 		return 1
 	}
@@ -118,9 +126,9 @@ func (a *Allocation) JainIndex() float64 {
 func (a *Allocation) MaxUtilization() (LinkID, float64) {
 	var best LinkID
 	var bestU float64
-	for _, id := range a.net.Links() {
-		if u := a.Utilization(id.From, id.To); u > bestU {
-			best, bestU = id, u
+	for j := range a.linkLoad {
+		if u := a.utilization(int32(j)); u > bestU { // masked links have no capacity
+			best, bestU = a.net.linkID(int32(j)), u
 		}
 	}
 	return best, bestU
@@ -133,27 +141,28 @@ func (a *Allocation) MaxUtilization() (LinkID, float64) {
 // (see TestAllocGateMaxMinFill).
 type fillState struct {
 	eps       float64
-	linkIdx   map[LinkID]int32 //lint:scratch
-	linkIDs   []LinkID         //lint:scratch
-	linkCap   []float64        //lint:scratch
-	linkLoad  []float64        //lint:scratch
-	linkUsers []int32          //lint:scratch — active demands per link, decremented on freeze
-	demLinks  [][]int32        //lint:scratch — interned link indices per demand, path order
-	active    []bool           //lint:scratch
+	snap      *topo.Snapshot
+	edgeLink  []int32   //lint:scratch — CSR edge slot → interned link, -1 until first use
+	linkEdge  []int32   //lint:scratch — interned link → CSR edge slot
+	linkCap   []float64 //lint:scratch
+	linkLoad  []float64 //lint:scratch
+	linkUsers []int32   //lint:scratch — active demands per link, decremented on freeze
+	demLinks  [][]int32 //lint:scratch — interned link indices per demand, path order
+	active    []bool    //lint:scratch
 	nActive   int
 }
 
-// intern maps one of a demand's path links to its dense index, creating
-// the link's capacity/load/user slots on first sight. Loopless paths
-// never repeat a link, but dedup keeps the per-demand user count exact
-// regardless.
-func (st *fillState) intern(dem int, l LinkID, n *Network) {
-	li, ok := st.linkIdx[l]
-	if !ok {
-		li = int32(len(st.linkIDs))
-		st.linkIdx[l] = li
-		st.linkIDs = append(st.linkIDs, l)
-		st.linkCap = append(st.linkCap, n.caps[l])
+// intern maps one of a demand's path links (a CSR edge slot) to its dense
+// index, creating the link's capacity/load/user slots on first sight.
+// Loopless paths never repeat a link, but dedup keeps the per-demand user
+// count exact regardless.
+func (st *fillState) intern(dem int, j int32, n *Network) {
+	li := st.edgeLink[j]
+	if li < 0 {
+		li = int32(len(st.linkEdge))
+		st.edgeLink[j] = li
+		st.linkEdge = append(st.linkEdge, j)
+		st.linkCap = append(st.linkCap, n.caps[j])
 		st.linkLoad = append(st.linkLoad, 0)
 		st.linkUsers = append(st.linkUsers, 0)
 	}
@@ -229,7 +238,8 @@ func (st *fillState) run(dems []DemandAllocation) {
 			}
 			for _, li := range st.demLinks[i] {
 				if st.linkLoad[li] >= st.linkCap[li]-st.eps {
-					d.Bottleneck = st.linkIDs[li]
+					e := st.snap.EdgeAt(st.linkEdge[li])
+					d.Bottleneck = LinkID{e.From, e.To}
 					st.freeze(i)
 					froze = true
 					break
@@ -261,17 +271,26 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 	if cost == nil {
 		cost = GatewayTransitCost()
 	}
+	_, to := n.Snap.CSR()
 	alloc := &Allocation{
 		Demands:  make([]DemandAllocation, len(demands)),
 		net:      n,
-		linkLoad: make(map[LinkID]float64),
+		linkLoad: make([]float64, len(to)),
 	}
 	st := &fillState{
 		eps:      n.eps(),
-		linkIdx:  make(map[LinkID]int32),
+		snap:     n.Snap,
+		edgeLink: make([]int32, len(to)),
 		demLinks: make([][]int32, len(demands)),
 		active:   make([]bool, len(demands)),
 	}
+	for j := range st.edgeLink {
+		st.edgeLink[j] = -1
+	}
+	// One searcher serves every demand: edge weights are evaluated once,
+	// and demands sharing a source take their first path from one tree.
+	sr := routing.NewSearcher(n.Snap, cost)
+	var widest []int32
 	for i, d := range demands {
 		alloc.Demands[i] = DemandAllocation{Demand: d}
 		if d.OfferedBps < 0 {
@@ -280,24 +299,24 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 		if n.Snap.Node(d.Src) == nil || n.Snap.Node(d.Dst) == nil {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s references unknown node", d.Src, d.Dst)
 		}
-		paths, err := routing.KShortestPaths(n.Snap, d.Src, d.Dst, cost, k)
-		if err != nil || len(paths) == 0 {
-			continue // unroutable demand: rate stays 0
-		}
-		best, bestCap := -1, -1.0
-		for pi, p := range paths {
-			if c := pathBottleneckBps(n, p.Nodes); c > bestCap {
-				best, bestCap = pi, c
+		// The widest path wins; ties go to the lower Yen rank.
+		bestCap := -1.0
+		err := sr.KShortestEdges(d.Src, d.Dst, k, func(edges []int32) {
+			if c := pathBottleneckBps(n, edges); c > bestCap {
+				bestCap = c
+				widest = append(widest[:0], edges...)
 			}
+		})
+		if err != nil || bestCap <= 0 {
+			continue // unroutable, or routable only over zero-capacity links: rate stays 0
 		}
-		if bestCap <= 0 {
-			continue // routable only over zero-capacity links
+		nodes := make([]string, len(widest)+1)
+		nodes[0] = d.Src
+		for h, j := range widest {
+			nodes[h+1] = n.Snap.NodeID(to[j])
+			st.intern(i, j, n)
 		}
-		nodes := paths[best].Nodes
 		alloc.Demands[i].Path = nodes
-		for h := 0; h+1 < len(nodes); h++ {
-			st.intern(i, LinkID{nodes[h], nodes[h+1]}, n)
-		}
 	}
 	for i := range alloc.Demands {
 		if alloc.Demands[i].Path != nil && alloc.Demands[i].OfferedBps > 0 {
@@ -328,22 +347,19 @@ func MaxMinFair(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, err
 		return nil, err
 	}
 	st.run(alloc.Demands)
-	for j, l := range st.linkIDs {
-		if st.linkLoad[j] > 0 {
-			alloc.linkLoad[l] = st.linkLoad[j]
-		}
+	for li, j := range st.linkEdge {
+		alloc.linkLoad[j] = st.linkLoad[li]
 	}
 	return alloc, nil
 }
 
-// pathBottleneckBps returns the smallest capacity along the node sequence
-// under the network's capacity map (which may differ from the snapshot's
+// pathBottleneckBps returns the smallest capacity along the CSR edges
+// under the network's capacity table (which may differ from the snapshot's
 // edge capacities after Recapacitate).
-func pathBottleneckBps(n *Network, nodes []string) float64 {
+func pathBottleneckBps(n *Network, edges []int32) float64 {
 	bottleneck := math.Inf(1)
-	for i := 0; i+1 < len(nodes); i++ {
-		c := n.CapacityBps(nodes[i], nodes[i+1])
-		if c < bottleneck {
+	for _, j := range edges {
+		if c := n.caps[j]; c < bottleneck {
 			bottleneck = c
 		}
 	}

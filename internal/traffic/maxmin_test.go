@@ -227,7 +227,8 @@ func TestMaxMinFairProperty(t *testing.T) {
 			}
 		}
 		for _, l := range n.Links() {
-			load := alloc.linkLoad[l]
+			j, _ := n.link(l.From, l.To)
+			load := alloc.linkLoad[j]
 			if load > n.CapacityBps(l.From, l.To)*(1+1e-9)+tol {
 				t.Logf("seed %d: link %v load %v above capacity %v", seed, l, load, n.CapacityBps(l.From, l.To))
 				return false

@@ -27,8 +27,6 @@
 package traffic
 
 import (
-	"sort"
-
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/phy"
 	"github.com/openspace-project/openspace/internal/routing"
@@ -45,44 +43,62 @@ type Demand struct {
 type LinkID struct{ From, To string }
 
 // Network couples a topology snapshot with per-directed-link capacities.
-// The snapshot supplies connectivity and path computation; the capacity map
-// is the commodity being allocated. Capacities start as the snapshot's
-// Edge.CapacityBps and can be re-derived from physical link budgets with
-// Recapacitate.
+// The snapshot supplies connectivity and path computation; the capacity
+// table, indexed by the snapshot's CSR edge slots, is the commodity being
+// allocated. Capacities start as the snapshot's Edge.CapacityBps and can be
+// re-derived from physical link budgets with Recapacitate; masked links
+// of an overlay have none.
 type Network struct {
 	Snap *topo.Snapshot
-	caps map[LinkID]float64
+	caps []float64
 }
 
 // NewNetwork wraps a snapshot, taking capacities from its edges.
 func NewNetwork(s *topo.Snapshot) *Network {
-	n := &Network{Snap: s, caps: make(map[LinkID]float64, s.EdgeCount())}
-	for _, id := range s.Nodes() {
-		for _, e := range s.Neighbors(id) {
-			n.caps[LinkID{e.From, e.To}] = e.CapacityBps
+	_, to := s.CSR()
+	n := &Network{Snap: s, caps: make([]float64, len(to))}
+	for j := range n.caps {
+		if s.EdgeLive(int32(j)) {
+			n.caps[j] = s.EdgeAt(int32(j)).CapacityBps
 		}
 	}
 	return n
 }
 
+// link returns the CSR slot of the live directed link from→to.
+func (n *Network) link(from, to string) (int32, bool) {
+	u, okU := n.Snap.NodeIndex(from)
+	v, okV := n.Snap.NodeIndex(to)
+	if !okU || !okV {
+		return 0, false
+	}
+	j, ok := n.Snap.EdgeIndex(u, v)
+	return j, ok && n.Snap.EdgeLive(j)
+}
+
+// linkID names CSR slot j.
+func (n *Network) linkID(j int32) LinkID {
+	e := n.Snap.EdgeAt(j)
+	return LinkID{e.From, e.To}
+}
+
 // CapacityBps returns the capacity of the directed link from→to, 0 if the
 // link does not exist.
 func (n *Network) CapacityBps(from, to string) float64 {
-	return n.caps[LinkID{from, to}]
+	if j, ok := n.link(from, to); ok {
+		return n.caps[j]
+	}
+	return 0
 }
 
 // Links returns every directed link in deterministic (from, to) order.
 func (n *Network) Links() []LinkID {
-	ids := make([]LinkID, 0, len(n.caps))
-	for id := range n.caps {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if ids[a].From != ids[b].From {
-			return ids[a].From < ids[b].From
+	ids := make([]LinkID, 0, n.Snap.EdgeCount())
+	for j := range n.caps {
+		if n.Snap.EdgeLive(int32(j)) {
+			ids = append(ids, n.linkID(int32(j)))
 		}
-		return ids[a].To < ids[b].To
-	})
+	}
 	return ids
 }
 
@@ -161,9 +177,9 @@ func groundElevationDeg(e topo.Edge, s *topo.Snapshot) float64 {
 
 // Recapacitate replaces every link capacity with the model's evaluation.
 func (n *Network) Recapacitate(m CapacityModel) {
-	for _, id := range n.Links() {
-		if e, ok := n.Snap.Edge(id.From, id.To); ok {
-			n.caps[id] = m.EdgeCapacityBps(e, n.Snap)
+	for j := range n.caps {
+		if n.Snap.EdgeLive(int32(j)) {
+			n.caps[j] = m.EdgeCapacityBps(*n.Snap.EdgeAt(int32(j)), n.Snap)
 		}
 	}
 }
