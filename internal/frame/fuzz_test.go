@@ -50,25 +50,3 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCertificateTransport does the same for the auth certificate container
-// carried inside AuthResult frames.
-func FuzzStreamReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, fr := range sampleFrames() {
-		if err := w.WriteFrame(fr); err != nil {
-			f.Fatal(err)
-		}
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/3])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		for i := 0; i < 100; i++ { // bounded: garbage cannot loop forever
-			if _, err := r.ReadFrame(); err != nil {
-				return
-			}
-		}
-	})
-}

@@ -7,36 +7,24 @@ import (
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
-// ProactiveRouter precomputes routes over a time-expanded topology — the
+// ProactiveRouter routes over a precomputed time-expanded topology — the
 // paper's first-stage routing regime (§2.2): the topology "is both known and
 // public, allowing for pre-computation of static routes between any set of
-// satellites and fixed ground infrastructure". Route tables are computed
-// lazily per (snapshot, destination) and cached; the cost function must be
-// load-independent for the precomputation to be sound.
+// satellites and fixed ground infrastructure". Each route is a shortest
+// path on the snapshot valid at the query time; the cost function must be
+// load-independent for routes computed ahead of traffic to stay valid.
 type ProactiveRouter struct {
 	te   *topo.TimeExpanded
 	cost CostFunc
 
-	mu     sync.Mutex
-	sr     *Searcher // bound to the snapshot searched last
-	tables map[tableKey]*table
-}
-
-type tableKey struct {
-	snapIdx int
-	dst     string
-}
-
-// table is a reverse shortest-path tree toward one destination.
-type table struct {
-	next map[string]string // node → next hop toward dst
-	dist map[string]float64
+	mu sync.Mutex
+	sr *Searcher // bound to the snapshot searched last
 }
 
 // NewProactiveRouter creates a router over the series with the given
 // (load-independent) cost function.
 func NewProactiveRouter(te *topo.TimeExpanded, cost CostFunc) *ProactiveRouter {
-	return &ProactiveRouter{te: te, cost: cost, tables: make(map[tableKey]*table)}
+	return &ProactiveRouter{te: te, cost: cost}
 }
 
 // Route returns the full path from src to dst valid at time t. Routes on
@@ -52,64 +40,4 @@ func (r *ProactiveRouter) Route(t float64, src, dst string) (Path, error) {
 		r.sr = NewSearcher(snap, r.cost)
 	}
 	return r.sr.ShortestPath(src, dst)
-}
-
-// NextHop returns the precomputed next hop from node toward dst at time t —
-// the per-satellite forwarding decision. Tables are built on first use per
-// (snapshot, destination) with a single reverse Dijkstra, exploiting
-// symmetric edges: the predecessor toward dst is the next hop from each
-// node.
-func (r *ProactiveRouter) NextHop(t float64, node, dst string) (string, error) {
-	snap := r.te.At(t)
-	if snap == nil {
-		return "", fmt.Errorf("routing: proactive: no snapshot at t=%.1f", t)
-	}
-	key := tableKey{snapIdx: r.snapIndex(snap), dst: dst}
-	r.mu.Lock()
-	tab, ok := r.tables[key]
-	r.mu.Unlock()
-	if !ok {
-		dist, next, err := Tree(snap, dst, r.cost)
-		if err != nil {
-			return "", err
-		}
-		tab = &table{next: next, dist: dist}
-		r.mu.Lock()
-		r.tables[key] = tab
-		r.mu.Unlock()
-	}
-	hop, ok := tab.next[node]
-	if !ok {
-		return "", fmt.Errorf("%w: %s → %s at t=%.1f", ErrNoPath, node, dst, t)
-	}
-	return hop, nil
-}
-
-func (r *ProactiveRouter) snapIndex(snap *topo.Snapshot) int {
-	for i, s := range r.te.Snaps {
-		if s == snap {
-			return i
-		}
-	}
-	return -1
-}
-
-// CostTo returns the precomputed path cost from node to dst at time t.
-func (r *ProactiveRouter) CostTo(t float64, node, dst string) (float64, error) {
-	if _, err := r.NextHop(t, node, dst); err != nil && node != dst {
-		return 0, err
-	}
-	snap := r.te.At(t)
-	key := tableKey{snapIdx: r.snapIndex(snap), dst: dst}
-	r.mu.Lock()
-	tab := r.tables[key]
-	r.mu.Unlock()
-	if tab == nil {
-		return 0, fmt.Errorf("%w: %s → %s", ErrNoPath, node, dst)
-	}
-	d, ok := tab.dist[node]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s → %s", ErrNoPath, node, dst)
-	}
-	return d, nil
 }

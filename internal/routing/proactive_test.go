@@ -44,72 +44,11 @@ func TestProactiveRouteMatchesDijkstra(t *testing.T) {
 	}
 }
 
-func TestNextHopWalksToDestination(t *testing.T) {
-	te := testTimeExpanded(t)
-	r := NewProactiveRouter(te, LatencyCost(0))
-	// Walking next hops from the user must reach the ground station in a
-	// bounded number of steps, and the walk's cost must equal the
-	// precomputed cost.
-	at := "u"
-	steps := 0
-	for at != "gs" {
-		hop, err := r.NextHop(0, at, "gs")
-		if err != nil {
-			t.Fatalf("NextHop(%s): %v", at, err)
-		}
-		at = hop
-		if steps++; steps > 100 {
-			t.Fatal("next-hop walk does not terminate")
-		}
-	}
-	// Consistency of CostTo with the full route.
-	c, err := r.CostTo(0, "u", "gs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := r.Route(0, "u", "gs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := c - p.Cost; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("CostTo %v != Route cost %v", c, p.Cost)
-	}
-	// Destination's own cost is zero.
-	if c, err := r.CostTo(0, "gs", "gs"); err != nil || c != 0 {
-		t.Errorf("self cost = %v, %v", c, err)
-	}
-}
-
-func TestNextHopChangesAcrossSnapshots(t *testing.T) {
-	te := testTimeExpanded(t)
-	r := NewProactiveRouter(te, LatencyCost(0))
-	// As the constellation rotates, the user's first hop should eventually
-	// change — the routing dynamics handovers must track.
-	h0, err := r.NextHop(0, "u", "gs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := false
-	for _, tt := range []float64{60, 120, 180, 240, 300} {
-		h, err := r.NextHop(tt, "u", "gs")
-		if err != nil {
-			continue
-		}
-		if h != h0 {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Error("first hop never changed over 5 minutes of LEO motion")
-	}
-}
-
 func TestProactiveErrors(t *testing.T) {
 	te := testTimeExpanded(t)
 	r := NewProactiveRouter(te, LatencyCost(0))
-	if _, err := r.NextHop(0, "u", "ghost"); err == nil {
-		t.Error("unknown destination should error")
+	if _, err := r.Route(0, "u", "ghost"); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("unknown dst: %v", err)
 	}
 	if _, err := r.Route(0, "ghost", "gs"); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("unknown src: %v", err)
@@ -117,8 +56,5 @@ func TestProactiveErrors(t *testing.T) {
 	empty := NewProactiveRouter(&topo.TimeExpanded{}, LatencyCost(0))
 	if _, err := empty.Route(0, "a", "b"); err == nil {
 		t.Error("empty series should error")
-	}
-	if _, err := empty.NextHop(0, "a", "b"); err == nil {
-		t.Error("empty series NextHop should error")
 	}
 }

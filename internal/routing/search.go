@@ -16,7 +16,7 @@ var (
 	ErrUnknownNode = errors.New("routing: unknown node")
 )
 
-// Searcher is the one shortest-path kernel behind ShortestPath, Tree,
+// Searcher is the one shortest-path kernel behind ShortestPath,
 // KShortestPaths, DisjointPaths and the proactive router. It is bound to
 // one snapshot and cost function, whose edge weights it evaluates once;
 // each search then runs on the snapshot's node indices and CSR adjacency
@@ -222,28 +222,6 @@ func (sr *Searcher) ShortestPath(src, dst string) (Path, error) {
 	sr.arena = sr.arena[:0]
 	sr.trace(&sr.spur, d)
 	return sr.path(src, sr.arena), nil
-}
-
-// Tree computes the full shortest-path tree from src: cost and predecessor
-// for every reachable node. It is the building block of proactive route
-// tables, where one Dijkstra run yields routes to all destinations.
-func Tree(s *topo.Snapshot, src string, cost CostFunc) (map[string]float64, map[string]string, error) {
-	root, ok := s.NodeIndex(src)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
-	}
-	sr := NewSearcher(s, cost)
-	sr.grow(root)
-	dist, prev := map[string]float64{}, map[string]string{}
-	for v := int32(0); int(v) < s.NodeSlots(); v++ {
-		if sr.tree.has(v) {
-			dist[s.NodeID(v)] = sr.tree.dist[v]
-			if j := sr.tree.prev[v]; j >= 0 {
-				prev[s.NodeID(v)] = s.NodeID(s.EdgeFrom(j))
-			}
-		}
-	}
-	return dist, prev, nil
 }
 
 // grow fills sr.tree with the full unbanned tree from src, unless it

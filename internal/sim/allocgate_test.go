@@ -19,9 +19,8 @@ func allocGate(t *testing.T) {
 // Engine.Schedule and Engine.Run: a stationary event population — eight
 // events per instant, each delivery scheduling its successor one second
 // later — must run with zero allocations per simulated second. The
-// population never crosses a calendar resize threshold (count is pinned
-// at 8 with 8 buckets and width 1), so after one rotation through the
-// buckets every append lands in warmed capacity.
+// population is pinned at 8, so once the heap's backing array has grown
+// to hold it every push lands in warmed capacity.
 func TestAllocGateEngineStepLoop(t *testing.T) {
 	allocGate(t)
 	e := NewEngine()
@@ -42,7 +41,7 @@ func TestAllocGateEngineStepLoop(t *testing.T) {
 		e.Run(until)
 	}
 	for i := 0; i < 20; i++ {
-		step() // warm: rotate through every bucket so capacities settle
+		step() // warm: let the heap's capacity settle
 	}
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
 		t.Fatalf("engine step loop allocates %.2f per simulated second, want 0", avg)

@@ -20,13 +20,13 @@ type event struct {
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled
 // for the same instant run in scheduling order, so simulations are fully
-// deterministic. The queue is a calendar queue — O(1) amortized schedule
-// and dispatch — whose dequeue order is byte-identical to the binary heap
-// it replaced (see calqueue.go for the contract and its property tests).
+// deterministic. The queue is a binary min-heap over (time, scheduling
+// sequence), a total order, so dequeue order is fixed by the schedule
+// alone (see queue.go and its property tests).
 type Engine struct {
 	now     float64
 	seq     uint64
-	events  calQueue
+	events  eventQueue
 	stopped bool
 	// Processed counts delivered events, for loop-guard assertions.
 	Processed uint64
@@ -41,7 +41,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine at time zero.
-func NewEngine() *Engine { return &Engine{events: newCalQueue()} }
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -92,12 +92,11 @@ func (e *Engine) Run(untilS float64) {
 		if e.MaxEvents > 0 && e.Processed >= e.MaxEvents {
 			return
 		}
-		next, _ := e.events.peek()
-		if next.atS > untilS {
+		if e.events.min().atS > untilS {
 			e.now = untilS
 			return
 		}
-		e.events.pop()
+		next := e.events.pop()
 		e.now = next.atS
 		e.Processed++
 		next.fn(e)
