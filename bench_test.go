@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/experiments"
+	"github.com/openspace-project/openspace/internal/faults"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
 	"github.com/openspace-project/openspace/internal/routing"
@@ -405,6 +406,49 @@ func BenchmarkTimeExpandedIncremental(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := topo.BuildTimeExpanded(0, 30*60, 60, cfg, specs, grounds, users); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOverlay measures degrading a 30-snapshot Iridium time-expanded
+// topology under a fault mask of three satellites and three ISLs — the
+// view the fault-aware core installs at every fault transition.
+func BenchmarkOverlay(b *testing.B) {
+	c, err := orbit.Iridium().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := make([]topo.SatSpec, c.Len())
+	for i, s := range c.Satellites {
+		specs[i] = topo.SatSpec{ID: s.ID, Provider: "p", Elements: s.Elements}
+	}
+	grounds := []topo.GroundSpec{{ID: "gs", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
+	users := []topo.UserSpec{{ID: "u", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}}
+	te, err := topo.BuildTimeExpanded(0, 30*60, 60, topo.DefaultConfig(), specs, grounds, users)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mask := faults.NewMask()
+	for _, i := range []int{3, 29, 51} {
+		mask.Apply(faults.Event{Node: specs[i].ID})
+	}
+	var isls []topo.Edge
+	te.Snaps[0].Edges(func(e topo.Edge) {
+		if e.Kind == topo.LinkISLRF && e.From < e.To {
+			isls = append(isls, e)
+		}
+	})
+	if len(isls) < 30 {
+		b.Fatalf("fixture has %d ISLs", len(isls))
+	}
+	for _, e := range []topo.Edge{isls[0], isls[10], isls[20]} {
+		mask.Apply(faults.Event{From: e.From, To: e.To})
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if v := te.Overlay(mask); v.Snaps[0].NodeCount() != te.Snaps[0].NodeCount()-3 {
+			b.Fatal("overlay lost the down satellites")
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -109,7 +110,8 @@ func (cp *checkpointFile) close() error {
 }
 
 // parseCheckpoint validates the header against the spec and returns the
-// recorded outcomes keyed by cell ID.
+// recorded outcomes keyed by cell ID. Run records each cell at most once,
+// so a second record for a cell is corruption, not an update.
 func parseCheckpoint(data string, spec Spec) (map[string]CellResult, error) {
 	lines := strings.Split(data, "\n")
 	// The caller hands over only newline-terminated bytes; drop the empty
@@ -138,6 +140,9 @@ func parseCheckpoint(data string, spec Spec) (map[string]CellResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		if _, dup := done[r.Cell.ID]; dup {
+			return nil, fmt.Errorf("campaign: checkpoint records cell %q twice", r.Cell.ID)
+		}
 		done[r.Cell.ID] = r
 	}
 	return done, nil
@@ -156,7 +161,7 @@ func parseRecord(line string, known map[string]bool) (CellResult, error) {
 		return CellResult{}, fmt.Errorf("campaign: checkpoint record %q has bad attempt count", line)
 	}
 	backoffS, err := strconv.ParseFloat(parts[3], 64)
-	if err != nil || backoffS < 0 {
+	if err != nil || !(backoffS >= 0) || math.IsInf(backoffS, 1) {
 		return CellResult{}, fmt.Errorf("campaign: checkpoint record %q has bad backoff", line)
 	}
 	r := CellResult{

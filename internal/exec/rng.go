@@ -87,9 +87,130 @@ func Reseed(rng *rand.Rand, base int64, coords ...int64) {
 }
 
 // ScratchRNG returns a generator whose initial stream is meaningless: it
-// exists to be Reseed-ed before every use. Constructing it here keeps the
-// raw rand.NewSource call inside the one package the seeddomain analyzer
-// blesses.
+// exists to be Reseed-ed before every use. Its source is a lazySource, so
+// a Reseed costs a few stores instead of math/rand's full register fill,
+// while every stream it yields is bit-identical to rand.NewSource's.
 func ScratchRNG() *rand.Rand {
-	return rand.New(rand.NewSource(0))
+	src := new(lazySource)
+	src.Seed(0)
+	return rand.New(src)
 }
+
+// math/rand's generator (rngSource) is an additive lagged Fibonacci
+// generator over a 607-word register. Its Seed runs the Park–Miller
+// generator x ← 48271·x mod (2³¹−1) from the seed, 20 steps of warm-up,
+// then packs three consecutive states into each register word, XORed with
+// a fixed mask (rngCooked): word i is x₂₁₊₃ᵢ<<40 ^ x₂₂₊₃ᵢ<<20 ^ x₂₃₊₃ᵢ ^
+// cooked[i], where xₖ = x₀·48271ᵏ mod (2³¹−1).
+const (
+	rngLen = 607
+	rngTap = 273
+	lcgMod = 1<<31 - 1
+	lcgMul = 48271
+)
+
+var (
+	lcgPow    [3*rngLen + 21]uint64 // lcgPow[k] = 48271ᵏ mod (2³¹−1)
+	rngCooked [rngLen]uint64        // math/rand's register mask
+)
+
+// init tabulates the powers and recovers math/rand's mask from its own
+// output rather than copying its table: the first rngLen draws of seed 1
+// determine the initial register, and XORing seed 1's packed states back
+// out of it leaves the mask.
+func init() {
+	lcgPow[0] = 1
+	for k := 1; k < len(lcgPow); k++ {
+		lcgPow[k] = lcgPow[k-1] * lcgMul % lcgMod
+	}
+	ref := rand.NewSource(1).(rand.Source64)
+	var z, vec [rngLen]uint64
+	for n := range z {
+		z[n] = ref.Uint64()
+	}
+	// Draw n adds register word (333−n) mod 607 to the word draw n−273
+	// wrote, so draws 273…606 give each untouched feed word by difference;
+	// draws 0…272 add two untouched words, the second of them now known.
+	for n := rngTap; n < rngLen; n++ {
+		vec[(2*rngLen-rngTap-1-n)%rngLen] = z[n] - z[n-rngTap]
+	}
+	for n := 0; n < rngTap; n++ {
+		vec[rngLen-rngTap-1-n] = z[n] - vec[rngLen-1-n]
+	}
+	seed1 := lazySource{x0: 1}
+	for i := range rngCooked {
+		rngCooked[i] = vec[i] ^ seed1.packed(i)
+	}
+}
+
+// lazySource is math/rand's rngSource with a lazy Seed. Draw n < 273 of a
+// fresh register is word 333−n plus word 606−n, neither of which an
+// earlier draw has overwritten, so Seed stores only x₀ and the first 273
+// draws compute their two words on demand. Draw 273 is the first to read
+// a word a draw wrote: there the source fills the register as Seed would
+// and replays the 273 draws already served, so every longer stream is
+// exact too.
+type lazySource struct {
+	x0        uint64 // Park–Miller state the seed maps to, in [1, 2³¹−2]
+	n         int    // draws served, counted up to the fill at rngTap
+	tap, feed int    // the generator's state once n > rngTap
+	vec       [rngLen]uint64
+}
+
+// Seed maps the seed to x₀ exactly as rngSource.Seed does, including its
+// substitution for seeds ≡ 0 mod 2³¹−1.
+func (s *lazySource) Seed(seed int64) {
+	seed %= lcgMod
+	if seed < 0 {
+		seed += lcgMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.x0, s.n = uint64(seed), 0
+}
+
+// packed returns register word i before the mask: its three Park–Miller
+// states packed as rngSource.Seed packs them.
+func (s *lazySource) packed(i int) uint64 {
+	p := lcgPow[3*i+21 : 3*i+24]
+	return (s.x0*p[0]%lcgMod)<<40 ^ (s.x0*p[1]%lcgMod)<<20 ^ s.x0*p[2]%lcgMod
+}
+
+// Uint64 implements rand.Source64.
+//
+//lint:hotpath
+func (s *lazySource) Uint64() uint64 {
+	switch n := s.n; {
+	case n < rngTap:
+		s.n++
+		i, j := rngLen-rngTap-1-n, rngLen-1-n
+		return (s.packed(i) ^ rngCooked[i]) + (s.packed(j) ^ rngCooked[j])
+	case n == rngTap:
+		s.n++
+		for i := range s.vec {
+			s.vec[i] = s.packed(i) ^ rngCooked[i]
+		}
+		s.tap, s.feed = 0, rngLen-rngTap
+		for range rngTap {
+			s.step()
+		}
+	}
+	return s.step()
+}
+
+// step is rngSource.Uint64: one lagged Fibonacci draw.
+func (s *lazySource) step() uint64 {
+	if s.tap--; s.tap < 0 {
+		s.tap += rngLen
+	}
+	if s.feed--; s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return x
+}
+
+// Int63 implements rand.Source.
+func (s *lazySource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -130,26 +132,70 @@ func TestDomainSeedEquivalence(t *testing.T) {
 // TestReseedEquivalence: a Reseed-ed scratch generator must reproduce the
 // exact stream a freshly constructed RNG at the same coordinates would —
 // the property that lets hot loops reuse one generator allocation-free.
+// The scratch source serves the first 273 draws without a register and
+// fills it at draw 273, so the draw counts straddle that bound; every pass
+// reseeds a generator left mid-stream by the one before. Coordinates run
+// from none to three, and over a sweep of single values. Raw seeds cover
+// math/rand's seed reduction: negatives, the int64 extremes, and multiples
+// of 2³¹−1, which it replaces with a fixed seed.
 func TestReseedEquivalence(t *testing.T) {
 	scratch := ScratchRNG()
-	for _, coords := range [][]int64{{0}, {1}, {99, 3}, {-5}} {
-		Reseed(scratch, 11, coords...)
-		fresh := RNG(11, coords...)
-		for i := 0; i < 16; i++ {
-			if x, y := scratch.Int63(), fresh.Int63(); x != y {
-				t.Fatalf("Reseed(11, %v) stream diverged at draw %d", coords, i)
-			}
-		}
-		// NormFloat64 carries no hidden state across Reseed either.
-		Reseed(scratch, 11, coords...)
-		fresh = RNG(11, coords...)
-		for i := 0; i < 16; i++ {
-			if x, y := scratch.NormFloat64(), fresh.NormFloat64(); x != y { //lint:allow floateq identical streams must match bit-for-bit
-				t.Fatalf("Reseed(11, %v) normal stream diverged at draw %d", coords, i)
+	kinds := []struct {
+		name string
+		draw func(*rand.Rand) uint64
+	}{
+		{"Int63", func(r *rand.Rand) uint64 { return uint64(r.Int63()) }},
+		{"Float64", func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) }},
+		{"NormFloat64", func(r *rand.Rand) uint64 { return math.Float64bits(r.NormFloat64()) }},
+	}
+	check := func(label string, reseed func(), fresh func() *rand.Rand) {
+		t.Helper()
+		for _, n := range []int{0, 1, 272, 273, 274, 607, 2000} {
+			for _, k := range kinds {
+				reseed()
+				want := fresh()
+				for i := 0; i < n; i++ {
+					if x, y := k.draw(scratch), k.draw(want); x != y {
+						t.Fatalf("%s: %s stream of %d diverged at draw %d: %#x != %#x", label, k.name, n, i, x, y)
+					}
+				}
 			}
 		}
 	}
+	coordLists := [][]int64{{}, {0, 0}, {99, 3}, {-5, 7, 2}}
+	for c := int64(-8); c < 56; c++ {
+		coordLists = append(coordLists, []int64{c})
+	}
+	for _, coords := range coordLists {
+		check(fmt.Sprintf("Reseed(11, %v)", coords),
+			func() { Reseed(scratch, 11, coords...) },
+			func() *rand.Rand { return RNG(11, coords...) })
+	}
+	for _, seed := range []int64{
+		0, 1, -1, 89482311, lcgMod - 1, lcgMod, -lcgMod, 2 * lcgMod, -5 * lcgMod,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		math.MaxInt64 - math.MaxInt64%lcgMod, math.MinInt64 - math.MinInt64%lcgMod,
+	} {
+		check(fmt.Sprintf("seed %d", seed),
+			func() { scratch.Seed(seed) },
+			func() *rand.Rand { return rand.New(rand.NewSource(seed)) })
+	}
 }
+
+// BenchmarkReseed times the fluid evolver's per-(aggregate, epoch) draw
+// site: one Reseed and the few uniforms a small-mean Poisson draw reads.
+func BenchmarkReseed(b *testing.B) {
+	rng := ScratchRNG()
+	b.ReportAllocs()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		Reseed(rng, 7, int64(i))
+		sum += rng.Float64() + rng.Float64() + rng.Float64()
+	}
+	benchSink = sum
+}
+
+var benchSink float64
 
 // TestRNGSubSeedIndependentOfSiblingConsumption guards against the
 // classic shared-source bug: consuming one task's RNG must not perturb a

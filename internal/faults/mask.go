@@ -53,11 +53,23 @@ func (m *Mask) Clear(ev Event) {
 	}
 }
 
-// NodeDown implements topo.Mask.
+// NodeDown reports whether the node is failed.
 func (m *Mask) NodeDown(id string) bool { return m.nodes[id] > 0 }
 
-// EdgeDown implements topo.Mask.
+// EdgeDown reports whether the undirected link between from and to is
+// failed.
 func (m *Mask) EdgeDown(from, to string) bool { return m.edges[edgeKey(from, to)] > 0 }
+
+// Walk implements topo.Mask. Every entry is down: Clear deletes an entry
+// when its count reaches zero.
+func (m *Mask) Walk(node func(id string), link func(a, b string)) {
+	for id := range m.nodes {
+		node(id)
+	}
+	for k := range m.edges {
+		link(k[0], k[1])
+	}
+}
 
 // Empty implements topo.Mask.
 func (m *Mask) Empty() bool { return len(m.nodes) == 0 && len(m.edges) == 0 }

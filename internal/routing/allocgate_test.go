@@ -2,7 +2,10 @@ package routing
 
 import (
 	"os"
+	"reflect"
 	"testing"
+
+	"github.com/openspace-project/openspace/internal/topo"
 )
 
 // allocGate skips unless the zero-allocation gates are explicitly enabled
@@ -66,5 +69,30 @@ func TestAllocGateYenSpur(t *testing.T) {
 	run() // warm: sizes the arena and candidate list
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("Yen spur re-solve allocates %.2f per run, want 0", avg)
+	}
+}
+
+// TestAllocGateSearcherMask pins the masked recompute's set-up: a warm
+// searcher re-applying a non-empty mask resolves each down element in
+// place, with its walk callbacks bound once.
+func TestAllocGateSearcherMask(t *testing.T) {
+	allocGate(t)
+	s := testSnapshot(t, 1, false)
+	sr := NewSearcher(s, LatencyCost(0))
+	ids := s.Nodes()
+	var hop topo.Edge
+	s.Neighbors(ids[0], func(e topo.Edge) { hop = e })
+	var m topo.Mask = maskSet{nodes: map[string]bool{ids[1]: true, ids[2]: true},
+		edges: map[[2]string]bool{edgePair(hop.From, hop.To): true}} // boxed once, as a *faults.Mask needs no boxing
+	sr.Mask(m) // warm: saves the unmasked weights, binds the callbacks
+	masked := append([]float64(nil), sr.w...)
+	if reflect.DeepEqual(masked, sr.base) {
+		t.Fatal("fixture mask hides no edge; gate would be vacuous")
+	}
+	if avg := testing.AllocsPerRun(100, func() { sr.Mask(m) }); avg != 0 {
+		t.Fatalf("Searcher.Mask allocates %.2f per call, want 0", avg)
+	}
+	if !reflect.DeepEqual(sr.w, masked) {
+		t.Fatal("re-applying the same mask changed the weights")
 	}
 }

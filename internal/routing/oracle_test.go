@@ -468,6 +468,54 @@ func TestSearcherMaskMatchesOverlay(t *testing.T) {
 	}
 }
 
+// TestSearcherMaskEdgeCases: on entries the random masks above rarely
+// produce, Mask must leave exactly the weights a searcher built on the
+// overlay has — stray entries naming unknown nodes or absent links hide
+// nothing, a one-way link goes whichever way it is named, a node down
+// with its incident link hides that link once, and a searcher on an
+// overlay masks like the stacked overlay.
+func TestSearcherMaskEdgeCases(t *testing.T) {
+	cost := HopCost()
+	assertMask := func(label string, s *topo.Snapshot, m maskSet) {
+		t.Helper()
+		sr := NewSearcher(s, cost)
+		sr.Mask(maskSet{nodes: map[string]bool{s.Nodes()[0]: true}}) // dirty it first
+		sr.Mask(m)
+		if want := NewSearcher(s.Overlay(m), cost).w; !reflect.DeepEqual(sr.w, want) {
+			t.Errorf("%s: masked weights differ from the overlay's", label)
+		}
+	}
+	s := testSnapshot(t, 1, false)
+	ids := s.Nodes()
+	var hop topo.Edge
+	s.Neighbors(ids[3], func(e topo.Edge) { hop = e })
+	var far string // a node with no edge to ids[3]
+	for _, id := range ids[4:] {
+		if _, ok := s.Edge(ids[3], id); !ok {
+			far = id
+			break
+		}
+	}
+	if far == "" {
+		t.Fatal("fixture has no node unlinked to ids[3]")
+	}
+	assertMask("stray", s, maskSet{nodes: map[string]bool{"zz": true},
+		edges: map[[2]string]bool{edgePair("zz", ids[3]): true, edgePair(ids[3], far): true}})
+	assertMask("node and incident link", s, maskSet{nodes: map[string]bool{hop.To: true},
+		edges: map[[2]string]bool{edgePair(hop.From, hop.To): true}})
+	over := s.Overlay(maskSet{nodes: map[string]bool{ids[5]: true}, edges: map[[2]string]bool{edgePair(hop.From, hop.To): true}})
+	assertMask("stacked", over, maskSet{nodes: map[string]bool{ids[5]: true, ids[7]: true},
+		edges: map[[2]string]bool{edgePair(hop.From, hop.To): true, edgePair(ids[9], ids[10]): true}})
+
+	oneWay, err := topo.NewSnapshot(0, []topo.Node{{ID: "a"}, {ID: "b"}, {ID: "c"}},
+		[]topo.Edge{{From: "a", To: "b"}, {From: "b", To: "c"}, {From: "c", To: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMask("one-way a-b", oneWay, maskSet{edges: map[[2]string]bool{{"a", "b"}: true}})
+	assertMask("one-way b-a", oneWay, maskSet{edges: map[[2]string]bool{{"b", "a"}: true}})
+}
+
 type maskSet struct {
 	nodes map[string]bool
 	edges map[[2]string]bool
@@ -480,6 +528,14 @@ func edgePair(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
+func (m maskSet) Walk(node func(string), link func(a, b string)) {
+	for id := range m.nodes {
+		node(id)
+	}
+	for e := range m.edges {
+		link(e[0], e[1])
+	}
+}
 func (m maskSet) NodeDown(id string) bool   { return m.nodes[id] }
 func (m maskSet) EdgeDown(a, b string) bool { return m.edges[edgePair(a, b)] }
 func (m maskSet) Empty() bool               { return len(m.nodes) == 0 && len(m.edges) == 0 }

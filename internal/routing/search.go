@@ -27,9 +27,9 @@ var (
 type Searcher struct {
 	snap    *topo.Snapshot
 	off, to []int32
-	w       []float64 // weight per CSR edge under the current mask; < 0 = unusable
-	base    []float64 // unmasked weights, saved by the first Mask call
-	down    []bool    //lint:scratch — nodes down under the current mask
+	w       []float64    // weight per CSR edge under the current mask; < 0 = unusable
+	base    []float64    // unmasked weights, saved by the first Mask call
+	mark    *topo.Marker // resolves Mask's down-set; made by the first Mask call
 
 	spur, tree labels // early-stopping searches; the full tree from treeSrc
 	treeSrc    int32  // -1 when tree holds nothing reusable
@@ -95,24 +95,23 @@ func (l *labels) has(v int32) bool { return l.reached[v] == l.gen }
 
 // Mask makes the searcher see the snapshot degraded under m, as if it
 // searched s.Overlay(m) without building the overlay: edges touching a
-// down node and down links become unusable. A nil or empty mask restores
-// the unmasked weights. Endpoints are not checked: callers treat a down
-// endpoint as no route, as the overlay's unknown node would be.
+// down node and down links become unusable. A topo.Marker resolves each
+// down element once; a warm searcher allocates nothing here. A nil or
+// empty mask restores the unmasked weights. Endpoints are not checked:
+// callers treat a down endpoint as no route, as the overlay's unknown node
+// would be.
 func (sr *Searcher) Mask(m topo.Mask) {
 	if sr.base == nil {
-		sr.base, sr.down = append([]float64(nil), sr.w...), make([]bool, len(sr.banNode))
+		sr.base, sr.mark = append([]float64(nil), sr.w...), topo.NewMarker()
 	}
 	copy(sr.w, sr.base)
 	sr.treeSrc = -1
-	if m == nil || m.Empty() {
+	if m == nil || m.Empty() || !sr.mark.Mark(sr.snap, m) {
 		return
 	}
-	for i := range sr.down {
-		sr.down[i] = m.NodeDown(sr.snap.NodeID(int32(i)))
-	}
+	nodeDown, edgeDown := sr.mark.NodeDown, sr.mark.EdgeDown
 	for j, v := range sr.to {
-		u := sr.snap.EdgeFrom(int32(j))
-		if sr.down[u] || sr.down[v] || m.EdgeDown(sr.snap.NodeID(u), sr.snap.NodeID(v)) {
+		if edgeDown[j] || nodeDown[sr.snap.EdgeFrom(int32(j))] || nodeDown[v] {
 			sr.w[j] = -1
 		}
 	}

@@ -9,12 +9,22 @@ import (
 	"github.com/openspace-project/openspace/internal/geo"
 )
 
-// fakeMask is a test mask over explicit sets.
+// fakeMask is a test mask over explicit sets. Walk hands links over in the
+// orientation they were stored; NodeDown and EdgeDown serve the
+// filtered-copy oracle, which expects links stored with a < b.
 type fakeMask struct {
 	nodes map[string]bool
 	edges map[[2]string]bool
 }
 
+func (m fakeMask) Walk(node func(string), link func(a, b string)) {
+	for id := range m.nodes {
+		node(id)
+	}
+	for e := range m.edges {
+		link(e[0], e[1])
+	}
+}
 func (m fakeMask) NodeDown(id string) bool { return m.nodes[id] }
 func (m fakeMask) EdgeDown(a, b string) bool {
 	if a > b {
@@ -122,12 +132,103 @@ func TestOverlayStacks(t *testing.T) {
 		t.Errorf("stacked overlay: %d nodes / %d edges, want 3 / 2",
 			d2.NodeCount(), d2.EdgeCount())
 	}
+	// A mask naming only what the view already hides — a down node, a
+	// down link, a link into a down node — leaves the view as it is.
+	again := fakeMask{nodes: map[string]bool{"d": true}, edges: map[[2]string]bool{{"b", "a"}: true, {"c", "d"}: true}}
+	if got := d2.Overlay(again); got != d2 {
+		t.Error("a mask hiding nothing new must return the view itself")
+	}
+	// The stacked view still sees d's and a-b's removal through a new mask.
+	d3 := d2.Overlay(fakeMask{nodes: map[string]bool{"a": true}})
+	if d3.NodeCount() != 2 || d3.EdgeCount() != 2 || d3.Node("d") != nil {
+		t.Errorf("third layer: %d nodes / %d edges, want 2 / 2", d3.NodeCount(), d3.EdgeCount())
+	}
+	if want := []string{"b", "c"}; !reflect.DeepEqual(d3.Nodes(), want) {
+		t.Errorf("third layer Nodes = %v, want %v", d3.Nodes(), want)
+	}
+}
+
+// TestOverlayIgnoresUnresolvedEntries: mask entries the snapshot cannot
+// resolve — unknown nodes, links to unknown nodes, links between known
+// nodes with no edge — hide nothing, and alone they return s itself.
+func TestOverlayIgnoresUnresolvedEntries(t *testing.T) {
+	s := lineSnapshot(t)
+	stray := fakeMask{
+		nodes: map[string]bool{"zz": true},
+		edges: map[[2]string]bool{{"a", "zz"}: true, {"x", "y"}: true, {"a", "c"}: true},
+	}
+	if got := s.Overlay(stray); got != s {
+		t.Fatal("a mask resolving to nothing must return the snapshot itself")
+	}
+	stray.nodes["c"] = true
+	got, want := s.Overlay(stray), s.Overlay(fakeMask{nodes: map[string]bool{"c": true}})
+	if got.NodeCount() != want.NodeCount() || got.EdgeCount() != want.EdgeCount() ||
+		!reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+		t.Errorf("stray entries changed the view: %d nodes / %d edges, want %d / %d",
+			got.NodeCount(), got.EdgeCount(), want.NodeCount(), want.EdgeCount())
+	}
+}
+
+// TestOverlayOneWayLink: a link present in one direction only is hidden
+// whichever orientation the mask names it in, and nothing else goes.
+func TestOverlayOneWayLink(t *testing.T) {
+	nodes := []Node{{ID: "a"}, {ID: "b"}, {ID: "c"}}
+	s, err := NewSnapshot(0, nodes, []Edge{{From: "a", To: "b"}, {From: "b", To: "c"}, {From: "c", To: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, link := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		d := s.Overlay(fakeMask{edges: map[[2]string]bool{link: true}})
+		if _, ok := d.Edge("a", "b"); ok || d.EdgeCount() != 2 || d.NodeCount() != 3 {
+			t.Errorf("link %v: a→b visible %v, %d edges, want hidden with 2 left", link, ok, d.EdgeCount())
+		}
+	}
+}
+
+// TestOverlayNodeAndIncidentLink: a link down together with one of its
+// endpoints is hidden once, exactly as the node alone hides it.
+func TestOverlayNodeAndIncidentLink(t *testing.T) {
+	s := lineSnapshot(t)
+	both := s.Overlay(fakeMask{nodes: map[string]bool{"c": true}, edges: map[[2]string]bool{{"b", "c"}: true}})
+	node := s.Overlay(fakeMask{nodes: map[string]bool{"c": true}})
+	if both.NodeCount() != 3 || both.EdgeCount() != 2 {
+		t.Errorf("%d nodes / %d edges, want 3 / 2", both.NodeCount(), both.EdgeCount())
+	}
+	for _, id := range s.Nodes() {
+		if !reflect.DeepEqual(neighbors(both, id), neighbors(node, id)) {
+			t.Errorf("neighbours of %s differ from the node-only overlay", id)
+		}
+	}
+}
+
+// TestTimeExpandedOverlaySharesUntouched: a link down while it exists in
+// only some snapshots degrades those and shares the others unchanged.
+func TestTimeExpandedOverlaySharesUntouched(t *testing.T) {
+	full := lineSnapshot(t)
+	var edges []Edge
+	for _, p := range [][2]string{{"a", "b"}, {"c", "d"}} { // no b-c ISL
+		edges = append(edges, Edge{From: p[0], To: p[1], Kind: LinkISLRF}, Edge{From: p[1], To: p[0], Kind: LinkISLRF})
+	}
+	split, err := NewSnapshot(6, []Node{{ID: "a"}, {ID: "b"}, {ID: "c"}, {ID: "d"}}, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te := &TimeExpanded{StartS: 5, IntervalS: 1, Snaps: []*Snapshot{full, split, full}}
+	got := te.Overlay(fakeMask{edges: map[[2]string]bool{{"b", "c"}: true}})
+	if got.Snaps[1] != split {
+		t.Error("snapshot without the down ISL was not shared")
+	}
+	for _, i := range []int{0, 2} {
+		if got.Snaps[i] == full || got.Snaps[i].EdgeCount() != 4 {
+			t.Errorf("snapshot %d: shared %v, %d edges, want a view with 4", i, got.Snaps[i] == full, got.Snaps[i].EdgeCount())
+		}
+	}
 }
 
 // filteredCopy builds the degraded snapshot the way overlays used to be
 // built: copy the surviving nodes, then every edge whose endpoints both
 // survive and whose link is not masked.
-func filteredCopy(t *testing.T, s *Snapshot, m Mask) *Snapshot {
+func filteredCopy(t *testing.T, s *Snapshot, m fakeMask) *Snapshot {
 	t.Helper()
 	var nodes []Node
 	var edges []Edge
