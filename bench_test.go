@@ -410,9 +410,10 @@ func BenchmarkTimeExpandedIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlay measures degrading a 30-snapshot Iridium time-expanded
+// BenchmarkOverlay measures degrading a 31-snapshot Iridium time-expanded
 // topology under a fault mask of three satellites and three ISLs — the
-// view the fault-aware core installs at every fault transition.
+// view the fault-aware core installs at every fault transition — and
+// reading every snapshot of it, so each snapshot's view is built once.
 func BenchmarkOverlay(b *testing.B) {
 	c, err := orbit.Iridium().Build()
 	if err != nil {
@@ -433,7 +434,7 @@ func BenchmarkOverlay(b *testing.B) {
 		mask.Apply(faults.Event{Node: specs[i].ID})
 	}
 	var isls []topo.Edge
-	te.Snaps[0].Edges(func(e topo.Edge) {
+	te.Snap(0).Edges(func(e topo.Edge) {
 		if e.Kind == topo.LinkISLRF && e.From < e.To {
 			isls = append(isls, e)
 		}
@@ -447,8 +448,11 @@ func BenchmarkOverlay(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if v := te.Overlay(mask); v.Snaps[0].NodeCount() != te.Snaps[0].NodeCount()-3 {
-			b.Fatal("overlay lost the down satellites")
+		v := te.Overlay(mask)
+		for k := 0; k < v.Len(); k++ {
+			if v.Snap(k).NodeCount() != te.Snap(k).NodeCount()-3 {
+				b.Fatal("overlay lost the down satellites")
+			}
 		}
 	}
 }
@@ -586,6 +590,25 @@ func BenchmarkMaxMinFair(b *testing.B) {
 		demands := []traffic.Demand{
 			{Src: "gs-seattle", Dst: "gs-nairobi", OfferedBps: 2e9},
 			{Src: "gs-nairobi", Dst: "gs-seattle", OfferedBps: 1e9},
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := traffic.MaxMinFair(net, demands, traffic.AllocConfig{KPaths: 4}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The fluid evolver's shape: demands sorted by (src, dst, class), so
+	// each gateway pair repeats once per traffic class, at the evolver's
+	// default k of 4.
+	b.Run("repeated-pairs", func(b *testing.B) {
+		net := iridiumTrafficNetwork(b)
+		var demands []traffic.Demand
+		for _, p := range [][2]string{{"gs-nairobi", "gs-seattle"}, {"gs-seattle", "gs-nairobi"}} {
+			for _, offered := range []float64{4e8, 1e8, 2.5e9} {
+				demands = append(demands, traffic.Demand{Src: p[0], Dst: p[1], OfferedBps: offered})
+			}
 		}
 		b.ResetTimer()
 		b.ReportAllocs()

@@ -8,6 +8,7 @@
 //	openspace-bench -experiment all
 //	openspace-bench -experiment fig2b -csvdir out/
 //	openspace-bench -experiment fig2c -quick
+//	openspace-bench -experiment disruption-campaign -cpuprofile cpu.pprof
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"github.com/openspace-project/openspace/internal/campaign"
 	"github.com/openspace-project/openspace/internal/experiments"
 	"github.com/openspace-project/openspace/internal/geo"
+	"github.com/openspace-project/openspace/internal/prof"
 )
 
 // renderer is the common shape of experiment results.
@@ -35,6 +37,8 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	workers := flag.Int("workers", 0, "parallel workers per experiment (0 = one per CPU, 1 = serial); results are identical at any setting")
 	list := flag.Bool("list", false, "list registered experiments and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	flag.Parse()
 
 	if *list {
@@ -43,7 +47,14 @@ func main() {
 		}
 		return
 	}
-	if err := run(*experiment, *csvDir, *quick, *workers); err != nil {
+	stop, err := prof.Start(*cpuProfile, *memProfile)
+	if err == nil {
+		err = run(*experiment, *csvDir, *quick, *workers)
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "openspace-bench: %v\n", err)
 		os.Exit(1)
 	}

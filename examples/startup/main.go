@@ -36,7 +36,7 @@ func main() {
 		}
 
 		fmt.Printf("fleet of %d satellites:\n", fleet)
-		if _, err := openspace.ShortestPath(te.Snaps[0], "clinic-nairobi", "gw-london",
+		if _, err := openspace.ShortestPath(te.Snap(0), "clinic-nairobi", "gw-london",
 			openspace.LatencyCost(0)); err != nil {
 			fmt.Println("  synchronous service: NO instantaneous path Nairobi → London")
 		} else {

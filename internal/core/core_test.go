@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -349,15 +350,16 @@ func TestSendProducesVerifiableReceipts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Receipts) != len(d.HopOwners) {
-		t.Fatalf("receipts %d vs hops %d", len(d.Receipts), len(d.HopOwners))
+	chain := n.Receipts(d)
+	if len(chain) != len(d.HopOwners) {
+		t.Fatalf("receipts %d vs hops %d", len(chain), len(d.HopOwners))
 	}
 	keys := n.PublicKeys()
-	if err := economics.VerifyChain(d.Receipts, keys); err != nil {
+	if err := economics.VerifyChain(chain, keys); err != nil {
 		t.Fatalf("receipt chain invalid: %v", err)
 	}
 	// A tampered receipt is detected.
-	forged := append([]economics.Receipt(nil), d.Receipts...)
+	forged := append([]economics.Receipt(nil), chain...)
 	forged[0].Bytes = 999999
 	if err := economics.VerifyChain(forged, keys); err == nil {
 		t.Error("tampered receipt chain accepted")
@@ -365,7 +367,7 @@ func TestSendProducesVerifiableReceipts(t *testing.T) {
 	// The chain applied to a fresh auditor ledger agrees with the home
 	// ISP's own books for this flow's carriers.
 	audit := economics.NewLedger("acme")
-	if err := economics.ApplyChain(audit, d.Receipts, keys); err != nil {
+	if err := economics.ApplyChain(audit, chain, keys); err != nil {
 		t.Fatal(err)
 	}
 	for _, owner := range d.HopOwners {
@@ -377,12 +379,27 @@ func TestSendProducesVerifiableReceipts(t *testing.T) {
 		}
 	}
 	// Flow IDs increment.
-	d2, err := n.Send("alice", "gs-nairobi", 1000, 0)
+	d2, err := n.Send("alice", "gs-nairobi", 2000, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d2.FlowID != d.FlowID+1 {
 		t.Errorf("flow IDs: %d then %d", d.FlowID, d2.FlowID)
+	}
+	// The earlier delivery's chain still verifies after later sends, and
+	// asking again signs the same bytes: the chain depends only on what
+	// Send recorded.
+	again := n.Receipts(d)
+	if err := economics.VerifyChain(again, keys); err != nil {
+		t.Fatalf("earlier chain invalid after a later send: %v", err)
+	}
+	for i := range chain {
+		if !bytes.Equal(again[i].Sig, chain[i].Sig) || again[i].Bytes != 1000 || again[i].FlowID != d.FlowID {
+			t.Errorf("receipt %d changed between requests: %+v then %+v", i, chain[i], again[i])
+		}
+	}
+	if err := economics.VerifyChain(n.Receipts(d2), keys); err != nil {
+		t.Fatalf("second chain invalid: %v", err)
 	}
 }
 

@@ -20,10 +20,9 @@ type Delivery struct {
 	GatewayFeeUSD  float64
 	CarriageUSD    float64 // cross-provider carriage charges (§3 accounting)
 	CrossOwnerHops int
-	// Receipts is the signed per-hop carriage chain: each carrier's
-	// non-repudiable acknowledgment, verifiable against the keys providers
-	// exchanged at onboarding (economics.VerifyChain).
-	Receipts []economics.Receipt
+	Customer       string  // the user's home ISP
+	Bytes          int64   // bytes carried
+	AtS            float64 // send time
 }
 
 // Send routes bytes from an associated user to a gateway ground station at
@@ -44,7 +43,7 @@ func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Deliv
 	if u.Terminal.State() != assoc.StateAssociated {
 		return nil, fmt.Errorf("core: user %q not associated (state %v)", userID, u.Terminal.State())
 	}
-	st, stOwner := n.station(stationID)
+	st, _ := n.station(stationID)
 	if st == nil {
 		return nil, fmt.Errorf("core: unknown ground station %q", stationID)
 	}
@@ -96,6 +95,9 @@ func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Deliv
 		HopOwners:     owners,
 		LatencyS:      path.DelayS + float64(path.Hops)*n.cfg.PerHopProcessingS + offer.QueueDelayS,
 		GatewayFeeUSD: float64(bytes) / 1e9 * offer.PricePerGB,
+		Customer:      u.HomeISP,
+		Bytes:         bytes,
+		AtS:           t,
 	}
 	// Carriage charges: every hop owned by neither the home ISP nor the
 	// gateway owner's free tier — priced at the carrier's flat rate.
@@ -109,19 +111,28 @@ func (n *Network) Send(userID, stationID string, bytes int64, t float64) (*Deliv
 			d.CarriageUSD += gb * p.CarriagePerGB
 		}
 	}
-	// Every hop's carrier signs a receipt for the carriage chain.
-	for i, o := range owners {
-		r := economics.Receipt{
-			Carrier: o, Customer: u.HomeISP,
-			FlowID: d.FlowID, HopIndex: i, Bytes: bytes, AtS: t,
+	return d, nil
+}
+
+// Receipts returns d's signed per-hop carriage chain: each carrier's
+// non-repudiable acknowledgment of its hop, verifiable against the keys
+// providers exchanged at onboarding (economics.VerifyChain). Send records
+// what the chain covers but signs nothing; the chain is built here, when a
+// caller asks for it. ed25519 signatures are deterministic, so asking
+// twice yields the same bytes. A hop whose carrier is not a member stays
+// unsigned and fails verification.
+func (n *Network) Receipts(d *Delivery) []economics.Receipt {
+	chain := make([]economics.Receipt, len(d.HopOwners))
+	for i, o := range d.HopOwners {
+		chain[i] = economics.Receipt{
+			Carrier: o, Customer: d.Customer,
+			FlowID: d.FlowID, HopIndex: i, Bytes: d.Bytes, AtS: d.AtS,
 		}
 		if p := n.providers[o]; p != nil {
-			r.SignWith(p.Auth.Sign)
+			chain[i].SignWith(p.Auth.Sign)
 		}
-		d.Receipts = append(d.Receipts, r)
 	}
-	_ = stOwner
-	return d, nil
+	return chain
 }
 
 // PublicKeys returns every member's receipt/report/certificate

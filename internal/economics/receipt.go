@@ -47,7 +47,7 @@ func (r *Receipt) signedBytes() []byte {
 	return b
 }
 
-// SignReceipt signs with the carrier's key via the signer callback
+// SignWith signs with the carrier's key via the signer callback
 // (typically auth.Authenticator.Sign).
 func (r *Receipt) SignWith(sign func([]byte) []byte) {
 	r.Sig = sign(r.signedBytes())

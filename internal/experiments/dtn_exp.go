@@ -84,7 +84,7 @@ func DTNExperiment(cfg DTNConfig) (*DTNResult, error) {
 			return trialOut{}, err
 		}
 		var out trialOut
-		if _, err := routing.ShortestPath(te.Snaps[0], "u", "g", routing.LatencyCost(0)); err == nil {
+		if _, err := routing.ShortestPath(te.Snap(0), "u", "g", routing.LatencyCost(0)); err == nil {
 			out.sync = true
 		}
 		if route, err := routing.EarliestArrival(te, "u", "g", 0, 0); err == nil {

@@ -37,10 +37,10 @@ type ScheduledRoute struct {
 // txS is the per-hop transmission time (bundle size / link rate) added on
 // top of propagation delay; pass 0 for small bundles.
 func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64) (*ScheduledRoute, error) {
-	if len(te.Snaps) == 0 {
+	if te.Len() == 0 {
 		return nil, fmt.Errorf("routing: cgr: empty topology series")
 	}
-	first := te.Snaps[0]
+	first := te.Snap(0)
 	if first.Node(src) == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, src)
 	}
@@ -64,10 +64,10 @@ func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64
 	done := map[string]bool{}
 	q := []entry[string]{{cost: startS, node: src}}
 
-	snapStart := func(i int) float64 { return te.Snaps[i].TimeS }
+	snapStart := func(i int) float64 { return te.Snap(i).TimeS }
 	snapEnd := func(i int) float64 {
-		if i+1 < len(te.Snaps) {
-			return te.Snaps[i+1].TimeS
+		if i+1 < te.Len() {
+			return te.Snap(i + 1).TimeS
 		}
 		return math.Inf(1) // the last snapshot's topology persists
 	}
@@ -84,7 +84,7 @@ func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64
 			break
 		}
 		t := arrival[id]
-		for i := range te.Snaps {
+		for i := 0; i < te.Len(); i++ {
 			if snapEnd(i) <= t {
 				continue // contact over before we arrive
 			}
@@ -92,7 +92,7 @@ func EarliestArrival(te *topo.TimeExpanded, src, dst string, startS, txS float64
 			if depart >= snapEnd(i) {
 				continue
 			}
-			te.Snaps[i].Neighbors(id, func(e topo.Edge) {
+			te.Snap(i).Neighbors(id, func(e topo.Edge) {
 				arrive := depart + e.DelayS + txS
 				if old, ok := arrival[e.To]; !ok || arrive < old {
 					arrival[e.To] = arrive

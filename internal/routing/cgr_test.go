@@ -56,7 +56,7 @@ func TestEarliestArrivalOnDenseMeshMatchesSynchronous(t *testing.T) {
 	if route.TotalWaitS > 1e-9 {
 		t.Errorf("dense mesh route waits %v s", route.TotalWaitS)
 	}
-	sync, err := ShortestPath(te.Snaps[0], "u", "g", LatencyCost(0))
+	sync, err := ShortestPath(te.Snap(0), "u", "g", LatencyCost(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEarliestArrivalBridgesCoverageGaps(t *testing.T) {
 	// regime for below-critical-mass deployments.
 	const horizon = 6 * 3600.0
 	te := sparseSeries(t, 5, horizon)
-	if _, err := ShortestPath(te.Snaps[0], "u", "g", LatencyCost(0)); err == nil {
+	if _, err := ShortestPath(te.Snap(0), "u", "g", LatencyCost(0)); err == nil {
 		t.Skip("instantaneous path exists at t=0; geometry too benign for this test")
 	}
 	route, err := EarliestArrival(te, "u", "g", 0, 0)

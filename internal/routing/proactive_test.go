@@ -35,7 +35,7 @@ func TestProactiveRouteMatchesDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := ShortestPath(te.Snaps[0], "u", "gs", LatencyCost(0))
+	direct, err := ShortestPath(te.Snap(0), "u", "gs", LatencyCost(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,11 @@ func TestTimeExpandedIncrementalEqualsFull(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		wantSteps := int(horizonS/intervalS) + 1
-		if len(te.Snaps) != wantSteps {
-			t.Fatalf("%s: %d snapshots, want %d", tc.name, len(te.Snaps), wantSteps)
+		if te.Len() != wantSteps {
+			t.Fatalf("%s: %d snapshots, want %d", tc.name, te.Len(), wantSteps)
 		}
-		for i, snap := range te.Snaps {
+		for i := 0; i < te.Len(); i++ {
+			snap := te.Snap(i)
 			ts := startS + float64(i)*intervalS
 			if snap.TimeS != ts {
 				t.Fatalf("%s: snapshot %d at %v, want %v", tc.name, i, snap.TimeS, ts)
@@ -79,8 +80,8 @@ func TestTimeExpandedIncrementalEqualsFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s workers=4: %v", tc.name, err)
 		}
-		for i := range te.Snaps {
-			assertSnapshotsEqual(t, fmt.Sprintf("%s workers step %d", tc.name, i), te4.Snaps[i], te.Snaps[i])
+		for i := 0; i < te.Len(); i++ {
+			assertSnapshotsEqual(t, fmt.Sprintf("%s workers step %d", tc.name, i), te4.Snap(i), te.Snap(i))
 		}
 	}
 }

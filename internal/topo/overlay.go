@@ -1,5 +1,10 @@
 package topo
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Mask hides failed network elements from a snapshot view. Implementations
 // enumerate what is currently down; a link is undirected (a failed laser
 // terminal or flapped ISL kills both directions). The fault-injection layer
@@ -15,7 +20,7 @@ type Mask interface {
 }
 
 // Marker resolves a Mask's down-set against a snapshot, the one place a
-// mask's walk is consumed. Mark sets NodeDown at the index of each down
+// mask's walk is resolved. Mark sets NodeDown at the index of each down
 // node the snapshot shows, and EdgeDown at both CSR slots of each down
 // link it shows; unknown nodes, absent links and the missing direction of
 // a one-way link are ignored. Marks only set bits, so the walk order
@@ -135,16 +140,75 @@ func (s *Snapshot) overlay(m Mask, mk *Marker) *Snapshot {
 }
 
 // Overlay returns the series with every snapshot degraded under the mask's
-// state at call time. Snapshots the mask does not touch are shared with the
-// original series; an empty mask returns the series itself.
+// state at call time: the mask's down-set is captured now, so later
+// changes to m do not reach the returned series. Each degraded snapshot is
+// built on its first Snap or At and then kept; a run that replaces the
+// overlay at every fault transition builds only the snapshots it reads.
+// Snapshots the mask does not touch are shared with the original series;
+// an empty mask returns the series itself. The result is safe for
+// concurrent readers.
 func (te *TimeExpanded) Overlay(m Mask) *TimeExpanded {
 	if m == nil || m.Empty() {
 		return te
 	}
-	snaps := make([]*Snapshot, len(te.Snaps))
-	mk := NewMarker()
-	for i, s := range te.Snaps {
-		snaps[i] = s.overlay(m, mk)
-	}
-	return &TimeExpanded{StartS: te.StartS, IntervalS: te.IntervalS, Snaps: snaps}
+	return &TimeExpanded{StartS: te.StartS, IntervalS: te.IntervalS, over: &overlaid{
+		base:  te,
+		down:  captureDown(m),
+		views: make([]atomic.Pointer[Snapshot], te.Len()),
+		mk:    NewMarker(),
+	}}
 }
+
+// overlaid is the state of a series degraded under a captured mask: the
+// series it degrades, the mask's down-set frozen at Overlay time, and the
+// views built so far. Views are published through atomic pointers, so a
+// view once built is read without locking; mu serialises building, which
+// shares one Marker.
+type overlaid struct {
+	base  *TimeExpanded
+	down  *downSet
+	views []atomic.Pointer[Snapshot]
+	mu    sync.Mutex
+	mk    *Marker
+}
+
+// view returns snapshot i of the overlay, building it on first read.
+func (o *overlaid) view(i int) *Snapshot {
+	if s := o.views[i].Load(); s != nil {
+		return s
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if s := o.views[i].Load(); s != nil {
+		return s
+	}
+	s := o.base.Snap(i).overlay(o.down, o.mk)
+	o.views[i].Store(s)
+	return s
+}
+
+// downSet is a mask's down-set frozen at capture time.
+type downSet struct {
+	nodes []string
+	links [][2]string
+}
+
+func captureDown(m Mask) *downSet {
+	d := &downSet{}
+	m.Walk(func(id string) { d.nodes = append(d.nodes, id) },
+		func(a, b string) { d.links = append(d.links, [2]string{a, b}) })
+	return d
+}
+
+// Walk implements Mask.
+func (d *downSet) Walk(node func(id string), link func(a, b string)) {
+	for _, id := range d.nodes {
+		node(id)
+	}
+	for _, l := range d.links {
+		link(l[0], l[1])
+	}
+}
+
+// Empty implements Mask.
+func (d *downSet) Empty() bool { return len(d.nodes) == 0 && len(d.links) == 0 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -62,7 +63,7 @@ func TestOverlayEmptyMaskIsIdentity(t *testing.T) {
 	if got := s.Overlay(fakeMask{}); got != s {
 		t.Error("empty mask should return the snapshot itself")
 	}
-	te := &TimeExpanded{StartS: 0, IntervalS: 1, Snaps: []*Snapshot{s}}
+	te := &TimeExpanded{StartS: 0, IntervalS: 1, snaps: []*Snapshot{s}}
 	if got := te.Overlay(fakeMask{}); got != te {
 		t.Error("empty mask should return the series itself")
 	}
@@ -213,14 +214,14 @@ func TestTimeExpandedOverlaySharesUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	te := &TimeExpanded{StartS: 5, IntervalS: 1, Snaps: []*Snapshot{full, split, full}}
+	te := &TimeExpanded{StartS: 5, IntervalS: 1, snaps: []*Snapshot{full, split, full}}
 	got := te.Overlay(fakeMask{edges: map[[2]string]bool{{"b", "c"}: true}})
-	if got.Snaps[1] != split {
+	if got.Snap(1) != split {
 		t.Error("snapshot without the down ISL was not shared")
 	}
 	for _, i := range []int{0, 2} {
-		if got.Snaps[i] == full || got.Snaps[i].EdgeCount() != 4 {
-			t.Errorf("snapshot %d: shared %v, %d edges, want a view with 4", i, got.Snaps[i] == full, got.Snaps[i].EdgeCount())
+		if got.Snap(i) == full || got.Snap(i).EdgeCount() != 4 {
+			t.Errorf("snapshot %d: shared %v, %d edges, want a view with 4", i, got.Snap(i) == full, got.Snap(i).EdgeCount())
 		}
 	}
 }
@@ -317,5 +318,137 @@ func TestOverlayMatchesFilteredCopy(t *testing.T) {
 		if !reflect.DeepEqual(all, wantAll) {
 			t.Fatalf("%s: Edges walk differs from the per-node walks", label)
 		}
+	}
+}
+
+// overlaySeries is an Iridium series with a ground segment: eleven
+// snapshots a minute apart.
+func overlaySeries(t *testing.T) *TimeExpanded {
+	t.Helper()
+	grounds := []GroundSpec{{ID: "gs", Provider: "A", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}}
+	users := []UserSpec{{ID: "u", Provider: "B", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}}
+	te, err := BuildTimeExpanded(0, 600, 60, DefaultConfig(), iridiumSpecs(t, 2, true), grounds, users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return te
+}
+
+// randomMask hides a few nodes and a few links of te's first snapshot.
+func randomMask(te *TimeExpanded, rng *rand.Rand) fakeMask {
+	s := te.Snap(0)
+	ids := s.Nodes()
+	m := fakeMask{nodes: map[string]bool{}, edges: map[[2]string]bool{}}
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		m.nodes[ids[rng.Intn(len(ids))]] = true
+	}
+	for i := 0; i < rng.Intn(4); i++ {
+		for _, e := range neighbors(s, ids[rng.Intn(len(ids))]) {
+			if rng.Intn(3) == 0 {
+				m.edges[[2]string{e.From, e.To}] = true
+			}
+		}
+	}
+	return m
+}
+
+// assertSameView requires two views of one graph to show the same nodes
+// and the same live edge slots.
+func assertSameView(t *testing.T, label string, got, want *Snapshot) {
+	t.Helper()
+	if got.TimeS != want.TimeS || got.NodeCount() != want.NodeCount() || got.EdgeCount() != want.EdgeCount() {
+		t.Fatalf("%s: t=%v %d nodes / %d edges, want t=%v %d / %d", label,
+			got.TimeS, got.NodeCount(), got.EdgeCount(), want.TimeS, want.NodeCount(), want.EdgeCount())
+	}
+	if !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+		t.Fatalf("%s: Nodes %v, want %v", label, got.Nodes(), want.Nodes())
+	}
+	_, to := want.CSR()
+	for j := range to {
+		if got.EdgeLive(int32(j)) != want.EdgeLive(int32(j)) {
+			t.Fatalf("%s: slot %d live %v, want %v", label, j, got.EdgeLive(int32(j)), want.EdgeLive(int32(j)))
+		}
+	}
+}
+
+// TestTimeExpandedOverlayLazyMatchesEager: every snapshot of a series
+// overlay, built on first read and read in any order, equals the eager
+// overlay of the same snapshot, and a series overlay of a series overlay
+// equals the stacked snapshot overlays.
+func TestTimeExpandedOverlayLazyMatchesEager(t *testing.T) {
+	te := overlaySeries(t)
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 12; trial++ {
+		m, m2 := randomMask(te, rng), randomMask(te, rng)
+		lazy := te.Overlay(m)
+		stacked := lazy.Overlay(m2)
+		if lazy.Len() != te.Len() || stacked.Len() != te.Len() || lazy.EndS() != te.EndS() {
+			t.Fatalf("trial %d: lengths %d/%d or end %v, want %d and %v", trial, lazy.Len(), stacked.Len(), lazy.EndS(), te.Len(), te.EndS())
+		}
+		for _, i := range rng.Perm(te.Len()) {
+			label := fmt.Sprintf("trial %d snapshot %d", trial, i)
+			want := te.Snap(i).Overlay(m)
+			got := lazy.Snap(i)
+			if (got == te.Snap(i)) != (want == te.Snap(i)) {
+				t.Fatalf("%s: shares the intact snapshot %v, eager %v", label, got == te.Snap(i), want == te.Snap(i))
+			}
+			assertSameView(t, label, got, want)
+			if lazy.Snap(i) != got {
+				t.Fatalf("%s: a second read built another view", label)
+			}
+			assertSameView(t, label+" stacked", stacked.Snap(i), want.Overlay(m2))
+		}
+	}
+}
+
+// TestTimeExpandedOverlayCapturesMask: the series overlay sees the mask as
+// it was at the Overlay call; changing the mask afterwards reaches no
+// snapshot, read or not.
+func TestTimeExpandedOverlayCapturesMask(t *testing.T) {
+	te := overlaySeries(t)
+	ids := te.Snap(0).Nodes()
+	m := fakeMask{nodes: map[string]bool{ids[3]: true}, edges: map[[2]string]bool{}}
+	lazy := te.Overlay(m)
+	assertSameView(t, "snapshot 0", lazy.Snap(0), te.Snap(0).Overlay(m))
+	want := fakeMask{nodes: map[string]bool{ids[3]: true}}
+	delete(m.nodes, ids[3])
+	m.nodes[ids[5]] = true
+	for _, e := range neighbors(te.Snap(4), ids[7]) {
+		m.edges[[2]string{e.From, e.To}] = true
+	}
+	for i := 0; i < te.Len(); i++ {
+		assertSameView(t, fmt.Sprintf("snapshot %d", i), lazy.Snap(i), te.Snap(i).Overlay(want))
+	}
+}
+
+// TestTimeExpandedOverlayConcurrentReads: goroutines reading one series
+// overlay through At, each in its own order, all see the same view per
+// snapshot, equal to the eager overlay. Run under -race.
+func TestTimeExpandedOverlayConcurrentReads(t *testing.T) {
+	te := overlaySeries(t)
+	m := randomMask(te, rand.New(rand.NewSource(3)))
+	lazy := te.Overlay(m)
+	const readers = 8
+	seen := make([][]*Snapshot, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		order := rand.New(rand.NewSource(int64(r))).Perm(te.Len())
+		wg.Add(1)
+		go func(r int, order []int) {
+			defer wg.Done()
+			seen[r] = make([]*Snapshot, te.Len())
+			for _, i := range order {
+				seen[r][i] = lazy.At(te.StartS + float64(i)*te.IntervalS)
+			}
+		}(r, order)
+	}
+	wg.Wait()
+	for i := 0; i < te.Len(); i++ {
+		for r := 1; r < readers; r++ {
+			if seen[r][i] != seen[0][i] {
+				t.Fatalf("snapshot %d: readers 0 and %d got different views", i, r)
+			}
+		}
+		assertSameView(t, fmt.Sprintf("snapshot %d", i), seen[0][i], te.Snap(i).Overlay(m))
 	}
 }

@@ -10,10 +10,14 @@ import (
 // public, precomputable evolution (§2.2). Proactive routing computes paths
 // on each snapshot ahead of time; the handover layer reads consecutive
 // snapshots to pick successors.
+//
+// A built series holds its snapshots and is immutable. A series returned
+// by Overlay builds each degraded snapshot on first read (see Overlay).
 type TimeExpanded struct {
 	StartS    float64
 	IntervalS float64
-	Snaps     []*Snapshot
+	snaps     []*Snapshot // the built series; nil on an overlay
+	over      *overlaid   // nil on a built series
 }
 
 // timeExpandedBlock is how many consecutive snapshots share one
@@ -58,29 +62,51 @@ func BuildTimeExpanded(startS, horizonS, intervalS float64, cfg Config, sats []S
 	for _, bs := range blockSnaps {
 		snaps = append(snaps, bs...)
 	}
-	return &TimeExpanded{StartS: startS, IntervalS: intervalS, Snaps: snaps}, nil
+	return &TimeExpanded{StartS: startS, IntervalS: intervalS, snaps: snaps}, nil
+}
+
+// Len returns the number of snapshots in the series.
+func (te *TimeExpanded) Len() int {
+	if te.over != nil {
+		return len(te.over.views)
+	}
+	return len(te.snaps)
+}
+
+// Snap returns snapshot i, 0 ≤ i < Len(). On an overlay the first read of
+// an index builds its view; it is safe for concurrent use.
+func (te *TimeExpanded) Snap(i int) *Snapshot {
+	if te.over != nil {
+		return te.over.view(i)
+	}
+	return te.snaps[i]
 }
 
 // At returns the snapshot in force at time t: the latest snapshot whose
 // time is ≤ t, clamped to the series bounds.
 func (te *TimeExpanded) At(t float64) *Snapshot {
-	if len(te.Snaps) == 0 {
+	n := te.Len()
+	if n == 0 {
 		return nil
 	}
 	idx := int((t - te.StartS) / te.IntervalS)
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(te.Snaps) {
-		idx = len(te.Snaps) - 1
+	if idx >= n {
+		idx = n - 1
 	}
-	return te.Snaps[idx]
+	return te.Snap(idx)
 }
 
-// EndS returns the time of the last snapshot.
+// EndS returns the time of the last snapshot. An overlay keeps its base's
+// times, so asking builds no view.
 func (te *TimeExpanded) EndS() float64 {
-	if len(te.Snaps) == 0 {
+	if te.over != nil {
+		return te.over.base.EndS()
+	}
+	if len(te.snaps) == 0 {
 		return te.StartS
 	}
-	return te.Snaps[len(te.Snaps)-1].TimeS
+	return te.snaps[len(te.snaps)-1].TimeS
 }

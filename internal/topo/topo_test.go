@@ -222,27 +222,27 @@ func TestTimeExpanded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(te.Snaps) != 11 {
-		t.Fatalf("snapshot count %d, want 11", len(te.Snaps))
+	if te.Len() != 11 {
+		t.Fatalf("snapshot count %d, want 11", te.Len())
 	}
 	if te.EndS() != 600 {
 		t.Errorf("EndS = %v", te.EndS())
 	}
 	// At() selects the right snapshot and clamps.
-	if te.At(-5) != te.Snaps[0] {
+	if te.At(-5) != te.Snap(0) {
 		t.Error("At before start should clamp to first")
 	}
-	if te.At(0) != te.Snaps[0] || te.At(59.9) != te.Snaps[0] {
+	if te.At(0) != te.Snap(0) || te.At(59.9) != te.Snap(0) {
 		t.Error("At within first interval wrong")
 	}
-	if te.At(60) != te.Snaps[1] || te.At(125) != te.Snaps[2] {
+	if te.At(60) != te.Snap(1) || te.At(125) != te.Snap(2) {
 		t.Error("At mid-series wrong")
 	}
-	if te.At(1e9) != te.Snaps[10] {
+	if te.At(1e9) != te.Snap(10) {
 		t.Error("At past end should clamp to last")
 	}
 	// Topology actually changes over time (satellites move).
-	if te.Snaps[0].EdgeCount() == 0 {
+	if te.Snap(0).EdgeCount() == 0 {
 		t.Fatal("empty snapshot")
 	}
 	// Errors.

@@ -290,15 +290,30 @@ func prepareFill(n *Network, demands []Demand, cfg AllocConfig) (*Allocation, *f
 	// One searcher serves every demand: edge weights are evaluated once,
 	// and demands sharing a source take their first path from one tree.
 	sr := routing.NewSearcher(n.Snap, cost)
+	// The widest of k depends only on the snapshot, the cost, k and the
+	// pair, so Yen runs once per (src, dst): later demands on the pair —
+	// one per traffic class — take the first one's route.
+	firstOf := make(map[[2]int32]int, len(demands))
 	var widest []int32
 	for i, d := range demands {
 		alloc.Demands[i] = DemandAllocation{Demand: d}
 		if d.OfferedBps < 0 {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s has negative offered load", d.Src, d.Dst)
 		}
-		if n.Snap.Node(d.Src) == nil || n.Snap.Node(d.Dst) == nil {
+		src, okS := n.Snap.NodeIndex(d.Src)
+		dst, okD := n.Snap.NodeIndex(d.Dst)
+		if !okS || !okD {
 			return nil, nil, fmt.Errorf("traffic: demand %s→%s references unknown node", d.Src, d.Dst)
 		}
+		pair := [2]int32{src, dst}
+		if f, ok := firstOf[pair]; ok {
+			if path := alloc.Demands[f].Path; path != nil {
+				alloc.Demands[i].Path = append([]string(nil), path...)
+				st.demLinks[i] = st.demLinks[f] // read-only once prepared
+			}
+			continue
+		}
+		firstOf[pair] = i
 		// The widest path wins; ties go to the lower Yen rank.
 		bestCap := -1.0
 		err := sr.KShortestEdges(d.Src, d.Dst, k, func(edges []int32) {

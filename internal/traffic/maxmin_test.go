@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -252,5 +254,172 @@ func TestAllocationEmptyDemands(t *testing.T) {
 	}
 	if _, u := alloc.MaxUtilization(); u != 0 {
 		t.Errorf("empty allocation utilisation = %v, want 0", u)
+	}
+}
+
+// separateOracle allocates the demands with every demand routed on its
+// own: a one-demand MaxMinFair call picks each demand's widest of k, and
+// a reference progressive fill over link IDs then runs on those fixed
+// paths, in the kernel's demand order.
+func separateOracle(t *testing.T, n *Network, demands []Demand, cfg AllocConfig) []DemandAllocation {
+	t.Helper()
+	out := make([]DemandAllocation, len(demands))
+	links := make([][]LinkID, len(demands))
+	users := map[LinkID]int{}
+	active := make([]bool, len(demands))
+	for i, d := range demands {
+		alone, err := MaxMinFair(n, []Demand{d}, cfg)
+		if err != nil {
+			t.Fatalf("oracle: demand %d: %v", i, err)
+		}
+		out[i] = DemandAllocation{Demand: d, Path: alone.Demands[0].Path}
+		for h := 0; h+1 < len(out[i].Path); h++ {
+			links[i] = append(links[i], LinkID{out[i].Path[h], out[i].Path[h+1]})
+		}
+		if out[i].Path != nil && d.OfferedBps > 0 {
+			active[i] = true
+			for _, l := range links[i] {
+				users[l]++
+			}
+		}
+	}
+	load := map[LinkID]float64{}
+	eps := n.eps()
+	freeze := func(i int) {
+		active[i] = false
+		for _, l := range links[i] {
+			users[l]--
+		}
+	}
+	for slices.Contains(active, true) {
+		delta := math.Inf(1)
+		for i := range out {
+			if !active[i] {
+				continue
+			}
+			delta = math.Min(delta, out[i].OfferedBps-out[i].RateBps)
+			for _, l := range links[i] {
+				delta = math.Min(delta, (n.CapacityBps(l.From, l.To)-load[l])/float64(users[l]))
+			}
+		}
+		delta = math.Max(delta, 0)
+		for i := range out {
+			if active[i] {
+				out[i].RateBps += delta
+				for _, l := range links[i] {
+					load[l] += delta
+				}
+			}
+		}
+		froze := false
+		for i := range out {
+			if !active[i] {
+				continue
+			}
+			if out[i].RateBps >= out[i].OfferedBps-eps {
+				out[i].RateBps = out[i].OfferedBps
+				freeze(i)
+				froze = true
+				continue
+			}
+			for _, l := range links[i] {
+				if load[l] >= n.CapacityBps(l.From, l.To)-eps {
+					out[i].Bottleneck = l
+					freeze(i)
+					froze = true
+					break
+				}
+			}
+		}
+		if !froze {
+			for i := range out {
+				if active[i] {
+					freeze(i)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkLikeSeparate compares MaxMinFair against separateOracle demand by
+// demand: the same path, rate and bottleneck.
+func checkLikeSeparate(t *testing.T, label string, n *Network, demands []Demand, cfg AllocConfig) {
+	t.Helper()
+	alloc, err := MaxMinFair(n, demands, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := separateOracle(t, n, demands, cfg)
+	for i := range want {
+		got, w := &alloc.Demands[i], &want[i]
+		if !slices.Equal(got.Path, w.Path) || (got.Path == nil) != (w.Path == nil) {
+			t.Errorf("%s: demand %d (%s→%s) path %v, routed alone %v", label, i, w.Src, w.Dst, got.Path, w.Path)
+		}
+		if math.Abs(got.RateBps-w.RateBps) > 1e-9*(1+w.OfferedBps) || got.Bottleneck != w.Bottleneck {
+			t.Errorf("%s: demand %d (%s→%s) rate %v behind %v, oracle %v behind %v",
+				label, i, w.Src, w.Dst, got.RateBps, got.Bottleneck, w.RateBps, w.Bottleneck)
+		}
+	}
+}
+
+// TestMaxMinFairRepeatedPairsRouteLikeSeparatePairs pins the per-call pair
+// memo: demands that repeat a (src, dst) pair across traffic classes get
+// the path, rate and bottleneck they would get were each routed on its
+// own, including pairs that are unroutable or routable only over a
+// zero-capacity link, and the input checks still run on every demand.
+func TestMaxMinFairRepeatedPairsRouteLikeSeparatePairs(t *testing.T) {
+	n := NewNetwork(grid(t,
+		[3]interface{}{"a", "m", 100}, [3]interface{}{"b", "m", 100},
+		[3]interface{}{"m", "n", 10}, [3]interface{}{"a", "n", 3},
+		[3]interface{}{"n", "c", 100}, [3]interface{}{"n", "d", 100},
+		[3]interface{}{"c", "z", 0},
+	))
+	classes := []float64{8, 1, 20} // one offered load per class
+	var demands []Demand
+	for _, p := range [][2]string{{"a", "c"}, {"b", "d"}, {"c", "a"}, {"c", "z"}, {"a", "d"}} {
+		for _, off := range classes {
+			demands = append(demands, Demand{Src: p[0], Dst: p[1], OfferedBps: off})
+		}
+	}
+	for k := 1; k <= 3; k++ {
+		checkLikeSeparate(t, fmt.Sprintf("fixed k=%d", k), n, demands, AllocConfig{KPaths: k})
+	}
+	// c→a has no route and c→z only a zero-capacity one: every class of
+	// both pairs stays unrouted.
+	alloc, err := MaxMinFair(n, demands, AllocConfig{KPaths: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 6; i < 12; i++ {
+		if d := alloc.Demands[i]; d.Path != nil || d.RateBps != 0 {
+			t.Errorf("demand %d (%s→%s) allocated %v over %v", i, d.Src, d.Dst, d.RateBps, d.Path)
+		}
+	}
+	// The checks run for every demand, not only a pair's first.
+	for _, bad := range []Demand{{Src: "a", Dst: "c", OfferedBps: -1}, {Src: "a", Dst: "ghost", OfferedBps: 1}} {
+		in := []Demand{{Src: "a", Dst: "c", OfferedBps: 1}, bad}
+		if _, err := MaxMinFair(n, in, AllocConfig{}); err == nil {
+			t.Errorf("second demand %+v accepted", bad)
+		}
+	}
+
+	// Random networks with demands drawn from a few pairs, so most repeat.
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rn := randomNetwork(rng)
+		ids := rn.Snap.Nodes()
+		var pairs [][2]string
+		for len(pairs) < 3 {
+			if src, dst := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]; src != dst {
+				pairs = append(pairs, [2]string{src, dst})
+			}
+		}
+		var ds []Demand
+		for d := 0; d < 4+rng.Intn(8); d++ {
+			p := pairs[rng.Intn(len(pairs))]
+			ds = append(ds, Demand{Src: p[0], Dst: p[1], OfferedBps: float64(rng.Intn(40))})
+		}
+		checkLikeSeparate(t, fmt.Sprintf("seed %d", seed), rn, ds, AllocConfig{KPaths: 1 + rng.Intn(3)})
 	}
 }
