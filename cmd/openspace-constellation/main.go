@@ -14,6 +14,7 @@
 //	openspace-constellation -delta -sats 1584 -planes 72 -incl 53 -grid
 //	openspace-constellation -preset starlink-gen1
 //	openspace-constellation -shells 720:36:11:570:70,1584:72:17:550:53
+//	openspace-constellation -preset starlink-gen1 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"github.com/openspace-project/openspace/internal/experiments"
 	"github.com/openspace-project/openspace/internal/geo"
 	"github.com/openspace-project/openspace/internal/orbit"
+	"github.com/openspace-project/openspace/internal/prof"
 	"github.com/openspace-project/openspace/internal/topo"
 )
 
@@ -66,9 +68,18 @@ func main() {
 	flag.StringVar(&o.csvPath, "csv", "", "write sub-satellite points to this CSV file")
 	flag.StringVar(&o.islCSVPath, "islcsv", "", "write the +Grid ISL plan (with link lengths at -t) to this CSV file")
 	flag.StringVar(&o.tlePath, "tle", "", "export the constellation as a TLE catalogue to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	stop, err := prof.Start(*cpuProfile, *memProfile)
+	if err == nil {
+		err = run(o)
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "openspace-constellation: %v\n", err)
 		os.Exit(1)
 	}

@@ -35,7 +35,7 @@ func Seed(base int64, coords ...int64) int64 {
 // Tasks must not share RNGs: one RNG per Map index is what keeps parallel
 // sweeps bitwise identical to serial ones.
 func RNG(base int64, coords ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(Seed(base, coords...)))
+	return newRand(Seed(base, coords...))
 }
 
 // A Domain names one independent family of RNG streams. The Tag is the
@@ -74,7 +74,7 @@ func DomainSeed(base int64, d Domain, coords ...int64) int64 {
 // the given coordinates — the blessed way for an internal package to
 // construct a generator of its own.
 func DomainRNG(base int64, d Domain, coords ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(DomainSeed(base, d, coords...)))
+	return newRand(DomainSeed(base, d, coords...))
 }
 
 // Reseed re-derives rng's stream in place: after Reseed(rng, base, c...)
@@ -87,12 +87,21 @@ func Reseed(rng *rand.Rand, base int64, coords ...int64) {
 }
 
 // ScratchRNG returns a generator whose initial stream is meaningless: it
-// exists to be Reseed-ed before every use. Its source is a lazySource, so
-// a Reseed costs a few stores instead of math/rand's full register fill,
-// while every stream it yields is bit-identical to rand.NewSource's.
+// exists to be Reseed-ed before every use. Like every generator here its
+// source seeds lazily, so a Reseed costs a few stores, and it owns its
+// register from the start, so no draw after a Reseed allocates.
 func ScratchRNG() *rand.Rand {
-	src := new(lazySource)
+	src := &scratchSource{lazySource{vec: new([rngLen]uint64)}}
 	src.Seed(0)
+	return rand.New(src)
+}
+
+// newRand returns a generator over a lazySource seeded with seed: the
+// stream rand.New(rand.NewSource(seed)) yields, for a few stores instead
+// of a 607-word register fill.
+func newRand(seed int64) *rand.Rand {
+	src := new(lazySource)
+	src.Seed(seed)
 	return rand.New(src)
 }
 
@@ -149,12 +158,14 @@ func init() {
 // draws compute their two words on demand. Draw 273 is the first to read
 // a word a draw wrote: there the source fills the register as Seed would
 // and replays the 273 draws already served, so every longer stream is
-// exact too.
+// exact too. The register itself is allocated at that first fill and
+// reused by every later one, so a generator that draws fewer than 273
+// values never holds one.
 type lazySource struct {
 	x0        uint64 // Park–Miller state the seed maps to, in [1, 2³¹−2]
 	n         int    // draws served, counted up to the fill at rngTap
 	tap, feed int    // the generator's state once n > rngTap
-	vec       [rngLen]uint64
+	vec       *[rngLen]uint64
 }
 
 // Seed maps the seed to x₀ exactly as rngSource.Seed does, including its
@@ -177,10 +188,17 @@ func (s *lazySource) packed(i int) uint64 {
 	return (s.x0*p[0]%lcgMod)<<40 ^ (s.x0*p[1]%lcgMod)<<20 ^ s.x0*p[2]%lcgMod
 }
 
-// Uint64 implements rand.Source64.
-//
-//lint:hotpath
+// Uint64 implements rand.Source64. The first fill allocates the
+// register; a reseed keeps it for the next.
 func (s *lazySource) Uint64() uint64 {
+	if s.vec == nil && s.n == rngTap {
+		s.vec = new([rngLen]uint64)
+	}
+	return s.draw()
+}
+
+// draw serves the next value; the register must exist by draw rngTap.
+func (s *lazySource) draw() uint64 {
 	switch n := s.n; {
 	case n < rngTap:
 		s.n++
@@ -214,3 +232,17 @@ func (s *lazySource) step() uint64 {
 
 // Int63 implements rand.Source.
 func (s *lazySource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+// scratchSource is the lazySource behind ScratchRNG. Its register is
+// allocated with it, so no draw of any stream it is reseeded to allocates.
+type scratchSource struct{ lazySource }
+
+// Uint64 implements rand.Source64.
+//
+//lint:hotpath
+func (s *scratchSource) Uint64() uint64 { return s.draw() }
+
+// Int63 implements rand.Source.
+//
+//lint:hotpath
+func (s *scratchSource) Int63() int64 { return int64(s.draw() & (1<<63 - 1)) }

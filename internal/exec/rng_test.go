@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -120,17 +121,17 @@ func TestDomainSeedEquivalence(t *testing.T) {
 			t.Errorf("DomainSeed(%d, {id:%d}, %v) = %d, want Seed equivalent %d",
 				c.base, c.id, c.coords, got, want)
 		}
-		a, b := DomainRNG(c.base, d, c.coords...), RNG(c.base, append([]int64{c.id}, c.coords...)...)
+		a, b := DomainRNG(c.base, d, c.coords...), rand.New(rand.NewSource(want))
 		for i := 0; i < 8; i++ {
 			if x, y := a.Int63(), b.Int63(); x != y {
-				t.Fatalf("DomainRNG stream diverged from RNG at draw %d: %d != %d", i, x, y)
+				t.Fatalf("DomainRNG stream diverged from the stdlib stream of its Seed equivalent at draw %d: %d != %d", i, x, y)
 			}
 		}
 	}
 }
 
 // TestReseedEquivalence: a Reseed-ed scratch generator must reproduce the
-// exact stream a freshly constructed RNG at the same coordinates would —
+// exact stream math/rand's own source yields for the same seed —
 // the property that lets hot loops reuse one generator allocation-free.
 // The scratch source serves the first 273 draws without a register and
 // fills it at draw 273, so the draw counts straddle that bound; every pass
@@ -169,7 +170,7 @@ func TestReseedEquivalence(t *testing.T) {
 	for _, coords := range coordLists {
 		check(fmt.Sprintf("Reseed(11, %v)", coords),
 			func() { Reseed(scratch, 11, coords...) },
-			func() *rand.Rand { return RNG(11, coords...) })
+			func() *rand.Rand { return rand.New(rand.NewSource(Seed(11, coords...))) })
 	}
 	for _, seed := range []int64{
 		0, 1, -1, 89482311, lcgMod - 1, lcgMod, -lcgMod, 2 * lcgMod, -5 * lcgMod,
@@ -180,6 +181,77 @@ func TestReseedEquivalence(t *testing.T) {
 			func() { scratch.Seed(seed) },
 			func() *rand.Rand { return rand.New(rand.NewSource(seed)) })
 	}
+}
+
+// TestRNGMatchesStdlib: RNG and DomainRNG seed lazily, and each must
+// still yield exactly the stream rand.New(rand.NewSource(seed)) does for
+// its seed, through every rand.Rand method the repository draws with. The
+// draw counts straddle the register fill at draw 273. The last pass
+// reseeds a generator whose register is already filled, which must start
+// the new stream from scratch (TestAllocGateRegisterReuse pins that it
+// reuses the register).
+func TestRNGMatchesStdlib(t *testing.T) {
+	domain := Domain{Tag: "test/stdlib", ID: 7}
+	kinds := []struct {
+		name string
+		draw func(*rand.Rand) []uint64
+	}{
+		{"ExpFloat64", func(r *rand.Rand) []uint64 { return []uint64{math.Float64bits(r.ExpFloat64())} }},
+		{"Float64", func(r *rand.Rand) []uint64 { return []uint64{math.Float64bits(r.Float64())} }},
+		{"Intn", func(r *rand.Rand) []uint64 { return []uint64{uint64(r.Intn(1000))} }},
+		{"Perm", func(r *rand.Rand) []uint64 {
+			var out []uint64
+			for _, v := range r.Perm(7) {
+				out = append(out, uint64(v))
+			}
+			return out
+		}},
+		{"Shuffle", func(r *rand.Rand) []uint64 {
+			out := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8}
+			r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+			return out
+		}},
+	}
+	compare := func(label string, got, want *rand.Rand, n int, draw func(*rand.Rand) []uint64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if x, y := draw(got), draw(want); !slices.Equal(x, y) {
+				t.Fatalf("%s: call %d of %d: got %v, stdlib %v", label, i, n, x, y)
+			}
+		}
+	}
+	for _, coords := range [][]int64{{}, {3}, {-1, 40}} {
+		for _, n := range []int{0, 1, 272, 273, 274, 607, 2000} {
+			for _, k := range kinds {
+				compare(fmt.Sprintf("RNG(5, %v) %s", coords, k.name),
+					RNG(5, coords...), rand.New(rand.NewSource(Seed(5, coords...))), n, k.draw)
+				compare(fmt.Sprintf("DomainRNG(5, %v) %s", coords, k.name),
+					DomainRNG(5, domain, coords...), rand.New(rand.NewSource(DomainSeed(5, domain, coords...))), n, k.draw)
+			}
+		}
+	}
+	filled := RNG(5, 1)
+	for range 2000 {
+		filled.Int63()
+	}
+	for _, seed := range []int64{9, -9, 0} {
+		filled.Seed(seed)
+		compare(fmt.Sprintf("Seed(%d) after a fill", seed), filled, rand.New(rand.NewSource(seed)), 2000, kinds[1].draw)
+	}
+}
+
+// BenchmarkDomainRNG times a short-lived domain stream as the fault
+// generator uses one per element: construction and three exponential
+// draws. Its bytes/op is the generator's footprint.
+func BenchmarkDomainRNG(b *testing.B) {
+	domain := Domain{Tag: "bench/domain", ID: 1}
+	b.ReportAllocs()
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		rng := DomainRNG(7, domain, int64(i))
+		sum += rng.ExpFloat64() + rng.ExpFloat64() + rng.ExpFloat64()
+	}
+	benchSink = sum
 }
 
 // BenchmarkReseed times the fluid evolver's per-(aggregate, epoch) draw

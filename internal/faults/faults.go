@@ -17,9 +17,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"github.com/openspace-project/openspace/internal/exec"
 	"github.com/openspace-project/openspace/internal/topo"
@@ -214,7 +215,8 @@ func InputsFromSnapshot(s *topo.Snapshot) Inputs {
 // Timeline is a deterministic fault schedule over [0, HorizonS).
 type Timeline struct {
 	HorizonS float64
-	// Events are sorted by start time (ties broken by kind and target).
+	// Events are sorted by start time (ties broken by kind, target and
+	// end time).
 	Events []Event
 }
 
@@ -282,23 +284,30 @@ func Generate(cfg Config, horizonS float64, in Inputs) (*Timeline, error) {
 		}
 	}
 
-	sort.Slice(tl.Events, func(a, b int) bool {
-		ea, eb := tl.Events[a], tl.Events[b]
-		if ea.StartS != eb.StartS { //lint:allow floateq exact sort tie-break keeps the fault schedule deterministic
-			return ea.StartS < eb.StartS
-		}
-		if ea.Kind != eb.Kind {
-			return ea.Kind < eb.Kind
-		}
-		if ea.Node != eb.Node {
-			return ea.Node < eb.Node
-		}
-		if ea.From != eb.From {
-			return ea.From < eb.From
-		}
-		return ea.To < eb.To
-	})
+	slices.SortFunc(tl.Events, compareEvents)
 	return tl, nil
+}
+
+// compareEvents is the timeline order: start time, then kind and target,
+// then end time. Every field of an Event takes part, so the order is total
+// and the sorted timeline does not depend on the sort algorithm.
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.StartS, b.StartS); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.EndS, b.EndS)
 }
 
 // MaskAt returns a fresh mask holding every event active at time t — the

@@ -96,34 +96,61 @@ func (m *Mask) PathDown(nodes []string) bool {
 // Drive schedules the timeline onto the engine: at each event's start the
 // mask applies it, at its end (when inside the horizon) the mask clears
 // it, and onChange — if non-nil — runs after every mask update with the
-// event and its new state (down true at start, false at repair). Events
-// are scheduled in timeline order, so same-instant faults apply in the
-// deterministic order Generate sorted them into.
+// event and its new state (down true at start, false at repair).
+//
+// The schedule is streamed rather than queued whole. Drive reserves two
+// sequence numbers per event, base+2i for event i's start and base+2i+1
+// for its repair, and queues only the first start; each start queues its
+// own repair and the next start when it fires. Every event therefore
+// enters the queue under the (time, seq) key it would have had if all of
+// them were scheduled up front in timeline order, and it enters before
+// that key can come due: a repair is no earlier than its start, and the
+// next start no earlier than this one. The delivery order is the eager
+// schedule's — same-instant faults apply in the order Generate sorted
+// them into — while the queue holds one pending start plus the live
+// repairs instead of every event. That needs events sorted by StartS
+// with EndS ≥ StartS, as Generate builds them; Drive rejects any other
+// timeline. The callbacks read the timeline's events in place, so it must
+// not change while the engine runs.
 func (tl *Timeline) Drive(e *sim.Engine, m *Mask, onChange func(e *sim.Engine, ev Event, down bool)) error {
 	if m == nil {
 		return fmt.Errorf("faults: drive needs a mask")
 	}
-	for _, ev := range tl.Events {
-		ev := ev
-		if err := e.Schedule(ev.StartS, func(e *sim.Engine) {
-			m.Apply(ev)
-			if onChange != nil {
-				onChange(e, ev, true)
-			}
-		}); err != nil {
-			return err
-		}
-		if ev.EndS >= tl.HorizonS {
-			continue // repairs beyond the horizon never observed
-		}
-		if err := e.Schedule(ev.EndS, func(e *sim.Engine) {
-			m.Clear(ev)
-			if onChange != nil {
-				onChange(e, ev, false)
-			}
-		}); err != nil {
-			return err
+	evs, horizonS := tl.Events, tl.HorizonS
+	for i := range evs {
+		if evs[i].EndS < evs[i].StartS || (i > 0 && evs[i].StartS < evs[i-1].StartS) {
+			return fmt.Errorf("faults: drive needs events sorted by start and ending no earlier; event %d is not", i)
 		}
 	}
-	return nil
+	if len(evs) == 0 {
+		return nil
+	}
+	base := e.Reserve(2 * len(evs))
+	must := func(err error) {
+		if err != nil {
+			panic(err) // times and sequence numbers were checked above
+		}
+	}
+	var start func(i int) func(*sim.Engine)
+	start = func(i int) func(*sim.Engine) {
+		return func(e *sim.Engine) {
+			ev := &evs[i]
+			if ev.EndS < horizonS { // repairs beyond the horizon are never observed
+				must(e.ScheduleSeq(ev.EndS, base+2*uint64(i)+1, func(e *sim.Engine) {
+					m.Clear(*ev)
+					if onChange != nil {
+						onChange(e, *ev, false)
+					}
+				}))
+			}
+			if i+1 < len(evs) {
+				must(e.ScheduleSeq(evs[i+1].StartS, base+2*uint64(i+1), start(i+1)))
+			}
+			m.Apply(*ev)
+			if onChange != nil {
+				onChange(e, *ev, true)
+			}
+		}
+	}
+	return e.ScheduleSeq(evs[0].StartS, base, start(0))
 }

@@ -55,6 +55,39 @@ var errNilEvent = errors.New("sim: nil event function")
 //
 //lint:hotpath
 func (e *Engine) Schedule(atS float64, fn func(*Engine)) error {
+	if err := e.file(atS, e.seq, fn); err != nil {
+		return err
+	}
+	e.seq++
+	return nil
+}
+
+// Reserve sets aside n consecutive sequence numbers and returns the
+// first. An event later filed under one of them with ScheduleSeq takes
+// the (time, seq) place it would have had if Schedule had filed it at the
+// moment of the Reserve, so a producer can stream a long schedule into
+// the queue one event at a time without changing the delivery order.
+func (e *Engine) Reserve(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserve of %d sequence numbers", n))
+	}
+	base := e.seq
+	e.seq += uint64(n)
+	return base
+}
+
+// ScheduleSeq enqueues fn at absolute time atS under a sequence number
+// taken from an earlier Reserve. Each reserved number must be used at
+// most once; the engine checks only that it was reserved.
+func (e *Engine) ScheduleSeq(atS float64, seq uint64, fn func(*Engine)) error {
+	if seq >= e.seq {
+		return fmt.Errorf("sim: sequence number %d was never reserved", seq)
+	}
+	return e.file(atS, seq, fn)
+}
+
+// file checks an event and pushes it under the given sequence number.
+func (e *Engine) file(atS float64, seq uint64, fn func(*Engine)) error {
 	if fn == nil {
 		return errNilEvent
 	}
@@ -62,8 +95,7 @@ func (e *Engine) Schedule(atS float64, fn func(*Engine)) error {
 		//lint:allow hotalloc cold causality-violation path, never taken in steady state
 		return fmt.Errorf("sim: schedule at %.3f is before now %.3f", atS, e.now)
 	}
-	e.events.push(event{atS: atS, seq: e.seq, fn: fn})
-	e.seq++
+	e.events.push(event{atS: atS, seq: seq, fn: fn})
 	return nil
 }
 

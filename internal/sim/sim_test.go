@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -149,6 +150,62 @@ func TestScheduleValidation(t *testing.T) {
 	if err := e.After(-1, func(*Engine) {}); err == nil {
 		t.Error("negative delay should fail")
 	}
+}
+
+// TestScheduleSeqKeepsReservedPlace: an event filed late under a reserved
+// sequence number is delivered where it would have been had it been
+// scheduled at the Reserve — after earlier same-time events, before later
+// ones — even when it is filed from inside a callback at that instant.
+func TestScheduleSeqKeepsReservedPlace(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	mark := func(s string) func(*Engine) { return func(*Engine) { order = append(order, s) } }
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(e.Schedule(5, mark("before")))
+	base := e.Reserve(3)
+	must(e.Schedule(5, mark("after")))
+	must(e.ScheduleSeq(5, base+1, mark("r1")))
+	must(e.ScheduleSeq(5, base, func(e *Engine) {
+		order = append(order, "r0")
+		must(e.ScheduleSeq(5, base+2, mark("r2")))
+	}))
+	e.Run(10)
+	want := []string{"before", "r0", "r1", "r2", "after"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if got := e.Reserve(0); got != base+4 {
+		t.Errorf("Reserve(0) after 3 reserved and 2 scheduled = %d, want %d", got, base+4)
+	}
+}
+
+func TestScheduleSeqValidation(t *testing.T) {
+	e := NewEngine()
+	base := e.Reserve(2)
+	e.Run(5)
+	if err := e.ScheduleSeq(5, base, nil); err == nil {
+		t.Error("nil event must be rejected")
+	}
+	if err := e.ScheduleSeq(4, base, func(*Engine) {}); err == nil {
+		t.Error("scheduling in the past must be rejected")
+	}
+	if err := e.ScheduleSeq(6, base+2, func(*Engine) {}); err == nil {
+		t.Error("an unreserved sequence number must be rejected")
+	}
+	if err := e.ScheduleSeq(6, base+1, func(*Engine) {}); err != nil {
+		t.Errorf("a reserved sequence number must be accepted: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a negative reservation must panic")
+		}
+	}()
+	e.Reserve(-1)
 }
 
 func TestHistogram(t *testing.T) {
