@@ -226,6 +226,56 @@ func BenchmarkAvailability(b *testing.B) {
 	}
 }
 
+// BenchmarkRunFlows measures one E15 trial at ×8 fault intensity: the six
+// protected flows riding a six-hour Iridium fault timeline through
+// faults.RunFlows, whose per-transition path liveness dominates E15.
+func BenchmarkRunFlows(b *testing.B) {
+	cfg := experiments.DefaultAvailability()
+	c, err := orbit.Iridium().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sats := make([]topo.SatSpec, c.Len())
+	for i, s := range c.Satellites {
+		sats[i] = topo.SatSpec{ID: s.ID, Provider: "p", Elements: s.Elements}
+	}
+	users := []topo.UserSpec{
+		{ID: "u0", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}},
+		{ID: "u1", Provider: "p", Pos: geo.LatLon{Lat: 40.44, Lon: -79.99}},
+		{ID: "u2", Provider: "p", Pos: geo.LatLon{Lat: -33.87, Lon: 151.21}},
+	}
+	grounds := []topo.GroundSpec{
+		{ID: "g0", Provider: "p", Pos: geo.LatLon{Lat: 51.51, Lon: -0.13}},
+		{ID: "g1", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}},
+	}
+	var specs []faults.FlowSpec
+	for _, u := range users {
+		for _, g := range grounds {
+			specs = append(specs, faults.FlowSpec{ID: u.ID + "-" + g.ID, Src: u.ID, Dst: g.ID})
+		}
+	}
+	tcfg := topo.DefaultConfig()
+	tcfg.MinElevationDeg = 0
+	snap := topo.Build(0, tcfg, sats, grounds, users)
+	fcfg := cfg.Faults
+	fcfg.Seed = cfg.Seed
+	tl, err := faults.Generate(fcfg.Scale(8), cfg.HorizonS, faults.InputsFromSnapshot(snap))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rr, err := faults.RunFlows(snap, specs, tl, cfg.Recovery, routing.LatencyCost(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rr.FaultTransitions == 0 {
+			b.Fatal("a ×8 trial must see fault transitions")
+		}
+	}
+}
+
 // BenchmarkDTN regenerates E11: store-and-forward vs instant connectivity
 // for sparse fleets.
 func BenchmarkDTN(b *testing.B) {
@@ -429,22 +479,23 @@ func BenchmarkOverlay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mask := faults.NewMask()
-	for _, i := range []int{3, 29, 51} {
-		mask.Apply(faults.Event{Node: specs[i].ID})
+	// Three satellites and three ISLs fail at t=0 and outlast the horizon.
+	in := faults.InputsFromSnapshot(te.Snap(0))
+	if len(in.ISLs) < 30 {
+		b.Fatalf("fixture has %d ISLs", len(in.ISLs))
 	}
-	var isls []topo.Edge
-	te.Snap(0).Edges(func(e topo.Edge) {
-		if e.Kind == topo.LinkISLRF && e.From < e.To {
-			isls = append(isls, e)
-		}
-	})
-	if len(isls) < 30 {
-		b.Fatalf("fixture has %d ISLs", len(isls))
+	tl := &faults.Timeline{HorizonS: 1, Inputs: in}
+	for _, i := range []int32{3, 29, 51} {
+		tl.Events = append(tl.Events, faults.Event{Kind: faults.KindSatFailure, Elem: i, EndS: 2})
 	}
-	for _, e := range []topo.Edge{isls[0], isls[10], isls[20]} {
-		mask.Apply(faults.Event{From: e.From, To: e.To})
+	for _, i := range []int32{0, 10, 20} {
+		tl.Events = append(tl.Events, faults.Event{Kind: faults.KindISLFlap, Elem: i, EndS: 2})
 	}
+	engine, mask := sim.NewEngine(), faults.NewMask()
+	if err := tl.Drive(engine, mask, nil); err != nil {
+		b.Fatal(err)
+	}
+	engine.Run(0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

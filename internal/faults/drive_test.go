@@ -7,16 +7,18 @@ import (
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/sim"
+	"github.com/openspace-project/openspace/internal/topo"
 )
 
 // driveEager is the schedule Drive used to file: every start and every
-// in-horizon repair queued up front, in timeline order. It is the oracle
-// the streamed Drive must match delivery for delivery.
-func driveEager(tl *Timeline, e *sim.Engine, m *Mask, onChange func(*sim.Engine, Event, bool)) error {
+// in-horizon repair queued up front, in timeline order, into the
+// string-keyed oracle mask. It is the oracle the streamed Drive must match
+// delivery for delivery.
+func driveEager(tl *Timeline, e *sim.Engine, m *stringMask, onChange func(*sim.Engine, Event, bool)) error {
 	for _, ev := range tl.Events {
 		ev := ev
 		if err := e.Schedule(ev.StartS, func(e *sim.Engine) {
-			m.Apply(ev)
+			m.Apply(&tl.Inputs, ev)
 			onChange(e, ev, true)
 		}); err != nil {
 			return err
@@ -25,7 +27,7 @@ func driveEager(tl *Timeline, e *sim.Engine, m *Mask, onChange func(*sim.Engine,
 			continue
 		}
 		if err := e.Schedule(ev.EndS, func(e *sim.Engine) {
-			m.Clear(ev)
+			m.Clear(&tl.Inputs, ev)
 			onChange(e, ev, false)
 		}); err != nil {
 			return err
@@ -42,44 +44,43 @@ type delivery struct {
 	down   bool
 }
 
-// randomTimeline draws a sorted timeline on a half-second grid, so many
-// events share an instant and sums of times stay exact: storm bursts that
-// down several satellites at one StartS, zero-length outages, and repairs
-// at or past the horizon.
+// randomTimeline draws a sorted timeline over testInputs on a half-second
+// grid, so many events share an instant and sums of times stay exact:
+// storm bursts that down several satellites at one StartS, zero-length
+// outages, and repairs at or past the horizon.
 func randomTimeline(rng *rand.Rand) *Timeline {
 	horizon := float64(4 + rng.Intn(30))
 	grid := func(limit float64) float64 { return float64(rng.Intn(int(2*limit))) / 2 }
-	sats := []string{"sat-0", "sat-1", "sat-2", "sat-3"}
+	in := testInputs()
 	var evs []Event
 	for n := rng.Intn(40); len(evs) < n; {
 		start := grid(horizon)
 		end := func() float64 { return start + grid(horizon) }
 		switch rng.Intn(4) {
 		case 0:
-			for _, id := range sats {
+			for i := range in.Satellites {
 				if rng.Intn(2) == 0 {
-					evs = append(evs, Event{Kind: KindStorm, Node: id, StartS: start, EndS: end()})
+					evs = append(evs, Event{Kind: KindStorm, Elem: int32(i), StartS: start, EndS: end()})
 				}
 			}
 		case 1:
-			evs = append(evs, Event{Kind: KindSatFailure, Node: sats[rng.Intn(len(sats))], StartS: start, EndS: end()})
+			evs = append(evs, Event{Kind: KindSatFailure, Elem: int32(rng.Intn(len(in.Satellites))), StartS: start, EndS: end()})
 		case 2:
-			i := rng.Intn(len(sats) - 1)
-			evs = append(evs, Event{Kind: KindISLFlap, From: sats[i], To: sats[i+1], StartS: start, EndS: end()})
+			evs = append(evs, Event{Kind: KindISLFlap, Elem: int32(rng.Intn(len(in.ISLs))), StartS: start, EndS: end()})
 		default:
-			evs = append(evs, Event{Kind: KindGroundOutage, Node: "gs-0", StartS: start, EndS: end()})
+			evs = append(evs, Event{Kind: KindGroundOutage, Elem: int32(rng.Intn(len(in.Grounds))), StartS: start, EndS: end()})
 		}
 	}
 	slices.SortFunc(evs, compareEvents)
-	return &Timeline{HorizonS: horizon, Events: evs}
+	return &Timeline{HorizonS: horizon, Inputs: in, Events: evs}
 }
 
-// runDrive drives tl through a fresh engine with one of the two schedulers
-// and returns every delivery. An event queued before the drive and one
+// runDrive drives tl through a fresh engine with one of the two schedulers,
+// which returns the mask it drives, and returns every delivery. An event queued before the drive and one
 // filed after it sit on fault instants, and each fault's onChange uses
 // After to land a callback exactly on a later fault instant, so the
 // timeline's events tie with events from every other source.
-func runDrive(t *testing.T, tl *Timeline, seed int64, drive func(*Timeline, *sim.Engine, *Mask, func(*sim.Engine, Event, bool)) error) ([]delivery, uint64) {
+func runDrive(t *testing.T, tl *Timeline, seed int64, drive func(*Timeline, *sim.Engine, func(*sim.Engine, Event, bool)) (topo.Mask, error)) ([]delivery, uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var instants []float64
@@ -90,7 +91,6 @@ func runDrive(t *testing.T, tl *Timeline, seed int64, drive func(*Timeline, *sim
 		}
 	}
 	e := sim.NewEngine()
-	m := NewMask()
 	var log []delivery
 	record := func(what string) func(*sim.Engine) {
 		return func(e *sim.Engine) { log = append(log, delivery{atS: e.Now(), what: what}) }
@@ -99,14 +99,16 @@ func runDrive(t *testing.T, tl *Timeline, seed int64, drive func(*Timeline, *sim
 		t.Fatal(err)
 	}
 	onChange := func(e *sim.Engine, ev Event, down bool) {
-		log = append(log, delivery{e.Now(), ev.Kind.String(), ev.Node + ev.From + "|" + ev.To, down})
+		node, isl := target(&tl.Inputs, ev)
+		log = append(log, delivery{e.Now(), ev.Kind.String(), node + isl[0] + "|" + isl[1], down})
 		if at := instants[rng.Intn(len(instants))]; at >= e.Now() && rng.Intn(2) == 0 {
 			if err := e.After(at-e.Now(), record("after")); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := drive(tl, e, m, onChange); err != nil {
+	m, err := drive(tl, e, onChange)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Schedule(instants[rng.Intn(len(instants))], record("post")); err != nil {
@@ -114,22 +116,24 @@ func runDrive(t *testing.T, tl *Timeline, seed int64, drive func(*Timeline, *sim
 	}
 	e.Run(tl.HorizonS / 2)
 	e.Run(tl.HorizonS)
-	nodes, edges := m.Down()
-	log = append(log, delivery{atS: e.Now(), what: fmt.Sprintf("final mask %d nodes %d edges", nodes, edges)})
+	log = append(log, delivery{atS: e.Now(), what: fmt.Sprintf("final mask %v", downSet(m))})
 	return log, e.Processed
 }
 
 // TestDriveStreamsEagerOrder is the streamed Drive's ordering argument as
 // a property: over random timelines, its delivery sequence — time, kind,
 // target and state of every fault transition, interleaved with unrelated
-// events at the same instants — equals the eager schedule's.
+// events at the same instants — equals the eager schedule's, and the
+// index-keyed mask ends holding what the string-keyed oracle holds.
 func TestDriveStreamsEagerOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	eager := func(tl *Timeline, e *sim.Engine, m *Mask, f func(*sim.Engine, Event, bool)) error {
-		return driveEager(tl, e, m, f)
+	eager := func(tl *Timeline, e *sim.Engine, f func(*sim.Engine, Event, bool)) (topo.Mask, error) {
+		m := newStringMask()
+		return m, driveEager(tl, e, m, f)
 	}
-	streamed := func(tl *Timeline, e *sim.Engine, m *Mask, f func(*sim.Engine, Event, bool)) error {
-		return tl.Drive(e, m, f)
+	streamed := func(tl *Timeline, e *sim.Engine, f func(*sim.Engine, Event, bool)) (topo.Mask, error) {
+		m := NewMask()
+		return m, tl.Drive(e, m, f)
 	}
 	for trial := 0; trial < 300; trial++ {
 		tl := randomTimeline(rng)
@@ -156,20 +160,30 @@ func TestDriveStreamsEagerOrder(t *testing.T) {
 }
 
 // TestDriveRejectsUnsortedTimelines: streaming relies on starts in order
-// and repairs no earlier than their start, so Drive refuses anything else
+// and repairs no earlier than their start, and the mask on events that
+// name an element of the timeline's Inputs, so Drive refuses anything else
 // before it queues an event.
 func TestDriveRejectsUnsortedTimelines(t *testing.T) {
 	for name, evs := range map[string][]Event{
 		"starts out of order": {
-			{Kind: KindSatFailure, Node: "sat-0", StartS: 5, EndS: 6},
-			{Kind: KindSatFailure, Node: "sat-1", StartS: 4, EndS: 6},
+			{Kind: KindSatFailure, Elem: 0, StartS: 5, EndS: 6},
+			{Kind: KindSatFailure, Elem: 1, StartS: 4, EndS: 6},
 		},
 		"repair before start": {
-			{Kind: KindSatFailure, Node: "sat-0", StartS: 5, EndS: 4},
+			{Kind: KindSatFailure, Elem: 0, StartS: 5, EndS: 4},
+		},
+		"satellite out of range": {
+			{Kind: KindSatFailure, Elem: 4, StartS: 5, EndS: 6},
+		},
+		"ISL out of range": {
+			{Kind: KindISLFlap, Elem: -1, StartS: 5, EndS: 6},
+		},
+		"unknown kind": {
+			{Kind: Kind(9), Elem: 0, StartS: 5, EndS: 6},
 		},
 	} {
 		e := sim.NewEngine()
-		tl := &Timeline{HorizonS: 10, Events: evs}
+		tl := &Timeline{HorizonS: 10, Inputs: testInputs(), Events: evs}
 		if err := tl.Drive(e, NewMask(), nil); err == nil {
 			t.Errorf("%s: Drive accepted the timeline", name)
 		}
@@ -180,5 +194,12 @@ func TestDriveRejectsUnsortedTimelines(t *testing.T) {
 	e := sim.NewEngine()
 	if err := (&Timeline{HorizonS: 10}).Drive(e, NewMask(), nil); err != nil || e.Pending() != 0 {
 		t.Errorf("empty timeline: err %v, %d queued; want nothing", err, e.Pending())
+	}
+	// A mask still holding one timeline's faults cannot take another's.
+	held := driveTo(t, &Timeline{HorizonS: 10, Inputs: testInputs(), Events: []Event{
+		{Kind: KindSatFailure, Elem: 0, StartS: 1, EndS: 20},
+	}}, 5)
+	if err := (&Timeline{HorizonS: 10, Inputs: testInputs()}).Drive(sim.NewEngine(), held, nil); err == nil {
+		t.Error("Drive rebound a mask that still holds another timeline's faults")
 	}
 }

@@ -37,7 +37,7 @@ var (
 )
 
 // Kind labels a fault class.
-type Kind int
+type Kind int32
 
 // Fault kinds.
 const (
@@ -72,14 +72,14 @@ func (k Kind) String() string {
 }
 
 // Event is one fault interval: the target element is down during
-// [StartS, EndS). Node faults set Node; edge faults set From/To
-// (undirected).
+// [StartS, EndS). Elem indexes the timeline's Inputs, in the list Kind
+// names: Satellites for satellite failures and storms, Grounds for ground
+// outages, ISLs for ISL flaps (undirected).
 type Event struct {
-	Kind     Kind
-	Node     string
-	From, To string
-	StartS   float64
-	EndS     float64
+	Kind   Kind
+	Elem   int32
+	StartS float64
+	EndS   float64
 }
 
 // Config parameterises timeline generation. Each element class fails as a
@@ -168,12 +168,77 @@ func (c Config) Scale(intensity float64) Config {
 
 // Inputs names the maskable elements of a topology, in the deterministic
 // order their RNG streams are indexed by. Build one with
-// InputsFromSnapshot or assemble directly (IDs must be sorted and ISL
-// endpoints ordered From < To).
+// InputsFromSnapshot or assemble directly: IDs sorted and distinct within
+// each list, ISL endpoints ordered From < To and the pairs sorted and
+// distinct. In that order an element's index sorts as its name does, which
+// is what lets events carry indices (see Generate).
 type Inputs struct {
 	Satellites []string
 	Grounds    []string
 	ISLs       [][2]string
+}
+
+// check rejects Inputs that are not in the documented order.
+func (in *Inputs) check() error {
+	if err := checkIDs("satellite", in.Satellites); err != nil {
+		return err
+	}
+	if err := checkIDs("ground", in.Grounds); err != nil {
+		return err
+	}
+	for i, isl := range in.ISLs {
+		if isl[0] >= isl[1] {
+			return fmt.Errorf("faults: ISL %q–%q must have From < To", isl[0], isl[1])
+		}
+		if i > 0 && compareISLs(in.ISLs[i-1], isl) >= 0 {
+			return fmt.Errorf("faults: ISLs must be sorted and distinct: %q then %q", in.ISLs[i-1], isl)
+		}
+	}
+	return nil
+}
+
+func checkIDs(class string, ids []string) error {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return fmt.Errorf("faults: %s IDs must be sorted and distinct: %q then %q", class, ids[i-1], ids[i])
+		}
+	}
+	return nil
+}
+
+func compareISLs(a, b [2]string) int {
+	if c := strings.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return strings.Compare(a[1], b[1])
+}
+
+// elements returns the size of the element index space: satellites, then
+// grounds, then ISLs.
+func (in *Inputs) elements() int {
+	return len(in.Satellites) + len(in.Grounds) + len(in.ISLs)
+}
+
+// nodes returns the number of node elements; element indices at or above
+// it are ISLs.
+func (in *Inputs) nodes() int32 { return int32(len(in.Satellites) + len(in.Grounds)) }
+
+// element maps an event's target into the element index space, or returns
+// -1 when the event names no element of in.
+func (in *Inputs) element(ev Event) int32 {
+	var base, n int
+	switch ev.Kind {
+	case KindSatFailure, KindStorm:
+		n = len(in.Satellites)
+	case KindGroundOutage:
+		base, n = len(in.Satellites), len(in.Grounds)
+	case KindISLFlap:
+		base, n = int(in.nodes()), len(in.ISLs)
+	}
+	if ev.Elem < 0 || int(ev.Elem) >= n {
+		return -1
+	}
+	return int32(base) + ev.Elem
 }
 
 // InputsFromSnapshot collects the satellites, ground stations and
@@ -215,6 +280,8 @@ func InputsFromSnapshot(s *topo.Snapshot) Inputs {
 // Timeline is a deterministic fault schedule over [0, HorizonS).
 type Timeline struct {
 	HorizonS float64
+	// Inputs names the elements the events index.
+	Inputs Inputs
 	// Events are sorted by start time (ties broken by kind, target and
 	// end time).
 	Events []Event
@@ -224,6 +291,10 @@ type Timeline struct {
 // [0, horizonS). Each element's failure process draws from its own RNG
 // stream (exec.Seed with a per-class domain tag and the element's index),
 // so the timeline is identical however the caller parallelises around it.
+// Events name their targets by index into in, which must be in the order
+// Inputs documents: there an index sorts as its ID does, so the timeline
+// order is the order of the targets' names. Generate rejects any other
+// Inputs rather than order same-instant faults by a different rule.
 func Generate(cfg Config, horizonS float64, in Inputs) (*Timeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -231,39 +302,29 @@ func Generate(cfg Config, horizonS float64, in Inputs) (*Timeline, error) {
 	if horizonS <= 0 {
 		return nil, fmt.Errorf("faults: horizon %.1f must be positive", horizonS)
 	}
-	tl := &Timeline{HorizonS: horizonS}
+	if err := in.check(); err != nil {
+		return nil, err
+	}
+	tl := &Timeline{HorizonS: horizonS, Inputs: in}
 
 	// Independent renewal processes per element.
-	renewal := func(domain exec.Domain, idx int, mtbf, mttr float64, mk func(start, end float64) Event) {
+	renewal := func(domain exec.Domain, kind Kind, n int, mtbf, mttr float64) {
 		if mtbf <= 0 {
 			return
 		}
-		rng := exec.DomainRNG(cfg.Seed, domain, int64(idx))
-		t := rng.ExpFloat64() * mtbf
-		for t < horizonS {
-			end := t + rng.ExpFloat64()*mttr
-			tl.Events = append(tl.Events, mk(t, end))
-			t = end + rng.ExpFloat64()*mtbf
+		for i := 0; i < n; i++ {
+			rng := exec.DomainRNG(cfg.Seed, domain, int64(i))
+			t := rng.ExpFloat64() * mtbf
+			for t < horizonS {
+				end := t + rng.ExpFloat64()*mttr
+				tl.Events = append(tl.Events, Event{Kind: kind, Elem: int32(i), StartS: t, EndS: end})
+				t = end + rng.ExpFloat64()*mtbf
+			}
 		}
 	}
-	for i, id := range in.Satellites {
-		id := id
-		renewal(domainSat, i, cfg.SatMTBFS, cfg.SatMTTRS, func(s, e float64) Event {
-			return Event{Kind: KindSatFailure, Node: id, StartS: s, EndS: e}
-		})
-	}
-	for i, isl := range in.ISLs {
-		isl := isl
-		renewal(domainISL, i, cfg.ISLMTBFS, cfg.ISLMTTRS, func(s, e float64) Event {
-			return Event{Kind: KindISLFlap, From: isl[0], To: isl[1], StartS: s, EndS: e}
-		})
-	}
-	for i, id := range in.Grounds {
-		id := id
-		renewal(domainGround, i, cfg.GroundMTBFS, cfg.GroundMTTRS, func(s, e float64) Event {
-			return Event{Kind: KindGroundOutage, Node: id, StartS: s, EndS: e}
-		})
-	}
+	renewal(domainSat, KindSatFailure, len(in.Satellites), cfg.SatMTBFS, cfg.SatMTTRS)
+	renewal(domainISL, KindISLFlap, len(in.ISLs), cfg.ISLMTBFS, cfg.ISLMTTRS)
+	renewal(domainGround, KindGroundOutage, len(in.Grounds), cfg.GroundMTBFS, cfg.GroundMTTRS)
 
 	// Correlated mass events: one fleet-wide storm process; each storm
 	// rolls per-satellite membership and outage length from a per-storm
@@ -273,12 +334,12 @@ func Generate(cfg Config, horizonS float64, in Inputs) (*Timeline, error) {
 		t := arrivals.ExpFloat64() * cfg.StormMTBFS
 		for storm := 0; t < horizonS; storm++ {
 			srng := exec.DomainRNG(cfg.Seed, domainStorm, int64(storm))
-			for _, id := range in.Satellites {
+			for i := range in.Satellites {
 				if srng.Float64() >= cfg.StormFraction {
 					continue
 				}
 				end := t + srng.ExpFloat64()*cfg.StormMTTRS
-				tl.Events = append(tl.Events, Event{Kind: KindStorm, Node: id, StartS: t, EndS: end})
+				tl.Events = append(tl.Events, Event{Kind: KindStorm, Elem: int32(i), StartS: t, EndS: end})
 			}
 			t += arrivals.ExpFloat64() * cfg.StormMTBFS
 		}
@@ -290,7 +351,9 @@ func Generate(cfg Config, horizonS float64, in Inputs) (*Timeline, error) {
 
 // compareEvents is the timeline order: start time, then kind and target,
 // then end time. Every field of an Event takes part, so the order is total
-// and the sorted timeline does not depend on the sort algorithm.
+// and the sorted timeline does not depend on the sort algorithm. On
+// Inputs in their documented order, comparing targets by index compares
+// them by name.
 func compareEvents(a, b Event) int {
 	if c := cmp.Compare(a.StartS, b.StartS); c != 0 {
 		return c
@@ -298,27 +361,8 @@ func compareEvents(a, b Event) int {
 	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
 		return c
 	}
-	if c := strings.Compare(a.Node, b.Node); c != 0 {
-		return c
-	}
-	if c := strings.Compare(a.From, b.From); c != 0 {
-		return c
-	}
-	if c := strings.Compare(a.To, b.To); c != 0 {
+	if c := cmp.Compare(a.Elem, b.Elem); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.EndS, b.EndS)
-}
-
-// MaskAt returns a fresh mask holding every event active at time t — the
-// static (non-engine) way to sample the timeline, used for degraded
-// snapshot views at an instant.
-func (tl *Timeline) MaskAt(t float64) *Mask {
-	m := NewMask()
-	for _, ev := range tl.Events {
-		if ev.StartS <= t && t < ev.EndS {
-			m.Apply(ev)
-		}
-	}
-	return m
 }

@@ -186,68 +186,10 @@ func TestInputsFromSnapshot(t *testing.T) {
 	}
 }
 
-func TestMaskRefcounting(t *testing.T) {
-	m := NewMask()
-	storm := Event{Kind: KindStorm, Node: "sat-0"}
-	hard := Event{Kind: KindSatFailure, Node: "sat-0"}
-	m.Apply(storm)
-	m.Apply(hard)
-	m.Clear(storm)
-	if !m.NodeDown("sat-0") {
-		t.Error("node with one of two overlapping outages cleared came back up")
-	}
-	m.Clear(hard)
-	if m.NodeDown("sat-0") || !m.Empty() {
-		t.Error("node with all outages cleared still down")
-	}
-
-	flap := Event{Kind: KindISLFlap, From: "sat-1", To: "sat-0"}
-	m.Apply(flap)
-	if !m.EdgeDown("sat-0", "sat-1") || !m.EdgeDown("sat-1", "sat-0") {
-		t.Error("edge fault must block both directions")
-	}
-	if n, e := m.Down(); n != 0 || e != 1 {
-		t.Errorf("Down() = %d,%d want 0,1", n, e)
-	}
-	if !m.PathDown([]string{"sat-0", "sat-1", "sat-2"}) {
-		t.Error("path through a failed hop must be down")
-	}
-	if m.PathDown([]string{"sat-2", "sat-3"}) {
-		t.Error("path avoiding all faults reported down")
-	}
-	m.Clear(flap)
-	if !m.Empty() {
-		t.Error("mask not empty after clearing everything")
-	}
-}
-
-func TestMaskAt(t *testing.T) {
-	tl := &Timeline{HorizonS: 100, Events: []Event{
-		{Kind: KindSatFailure, Node: "sat-0", StartS: 10, EndS: 20},
-		{Kind: KindISLFlap, From: "sat-1", To: "sat-2", StartS: 15, EndS: 40},
-	}}
-	if !tl.MaskAt(5).Empty() {
-		t.Error("mask before any fault must be empty")
-	}
-	m := tl.MaskAt(16)
-	if !m.NodeDown("sat-0") || !m.EdgeDown("sat-2", "sat-1") {
-		t.Error("mask at 16 missing active faults")
-	}
-	if m = tl.MaskAt(20); m.NodeDown("sat-0") {
-		t.Error("outage interval is half-open: repaired exactly at EndS")
-	}
-	if !tl.MaskAt(39).EdgeDown("sat-1", "sat-2") {
-		t.Error("flap still active at 39")
-	}
-	if !tl.MaskAt(50).Empty() {
-		t.Error("mask after all repairs must be empty")
-	}
-}
-
 func TestDrive(t *testing.T) {
-	tl := &Timeline{HorizonS: 100, Events: []Event{
-		{Kind: KindSatFailure, Node: "sat-0", StartS: 5, EndS: 8},
-		{Kind: KindGroundOutage, Node: "gs-0", StartS: 7, EndS: 200},
+	tl := &Timeline{HorizonS: 100, Inputs: testInputs(), Events: []Event{
+		{Kind: KindSatFailure, Elem: 0, StartS: 5, EndS: 8},     // sat-0
+		{Kind: KindGroundOutage, Elem: 0, StartS: 7, EndS: 200}, // gs-0
 	}}
 	e := sim.NewEngine()
 	m := NewMask()

@@ -1,97 +1,96 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/openspace-project/openspace/internal/sim"
 )
 
-// Mask is the set of currently failed elements, maintained incrementally
-// as fault events start and end. It implements topo.Mask, so a snapshot
-// degraded by the current fault state is one Overlay call away — no
-// geometry rebuild. Overlapping outages on the same element are
-// reference-counted: a satellite downed by both a storm and an independent
-// hard failure stays down until both clear.
+// Mask is the set of currently failed elements of one timeline's Inputs,
+// maintained incrementally as fault events start and end. It implements
+// topo.Mask, so a snapshot degraded by the current fault state is one
+// Overlay call away — no geometry rebuild. Outages are counted per element
+// index: overlapping outages on the same element stack, so a satellite
+// downed by both a storm and an independent hard failure stays down until
+// both clear. A compact list of the down elements keeps Walk O(down).
+// Drive binds a mask to its timeline's Inputs; an unbound mask is empty.
 type Mask struct {
-	nodes map[string]int
-	edges map[[2]string]int
+	in    *Inputs
+	count []int32 // outages per element index
+	at    []int32 // each down element's position in down; valid while count > 0
+	down  []int32 // the down elements, in no particular order
 }
 
 // NewMask returns an empty mask (nothing down).
-func NewMask() *Mask {
-	return &Mask{nodes: make(map[string]int), edges: make(map[[2]string]int)}
+func NewMask() *Mask { return &Mask{} }
+
+// bind sizes the mask to in's element index space. A mask already bound to
+// in keeps its state; rebinding one that still holds faults is an error.
+func (m *Mask) bind(in *Inputs) error {
+	if m.in == in {
+		return nil
+	}
+	if len(m.down) > 0 {
+		return errors.New("faults: mask holds faults of another timeline")
+	}
+	n := in.elements()
+	m.in, m.count, m.at = in, make([]int32, n), make([]int32, n)
+	return nil
 }
 
-// edgeKey normalises an undirected link key.
-func edgeKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
-// Apply marks the event's target down.
-func (m *Mask) Apply(ev Event) {
-	if ev.Node != "" {
-		m.nodes[ev.Node]++
-		return
-	}
-	m.edges[edgeKey(ev.From, ev.To)]++
-}
-
-// Clear marks the event's target repaired.
-func (m *Mask) Clear(ev Event) {
-	if ev.Node != "" {
-		if m.nodes[ev.Node]--; m.nodes[ev.Node] <= 0 {
-			delete(m.nodes, ev.Node)
-		}
-		return
-	}
-	key := edgeKey(ev.From, ev.To)
-	if m.edges[key]--; m.edges[key] <= 0 {
-		delete(m.edges, key)
+// apply marks element e down.
+func (m *Mask) apply(e int32) {
+	if m.count[e]++; m.count[e] == 1 {
+		m.at[e] = int32(len(m.down))
+		m.down = append(m.down, e)
 	}
 }
 
-// NodeDown reports whether the node is failed.
-func (m *Mask) NodeDown(id string) bool { return m.nodes[id] > 0 }
+// repair clears one outage of element e.
+func (m *Mask) repair(e int32) {
+	if m.count[e]--; m.count[e] == 0 {
+		last := m.down[len(m.down)-1]
+		m.down[m.at[e]], m.at[last] = last, m.at[e]
+		m.down = m.down[:len(m.down)-1]
+	}
+}
 
-// EdgeDown reports whether the undirected link between from and to is
-// failed.
-func (m *Mask) EdgeDown(from, to string) bool { return m.edges[edgeKey(from, to)] > 0 }
+// NodeDown reports whether the satellite or ground station id is failed.
+func (m *Mask) NodeDown(id string) bool {
+	if m.in == nil {
+		return false
+	}
+	if i, ok := slices.BinarySearch(m.in.Satellites, id); ok && m.count[i] > 0 {
+		return true
+	}
+	i, ok := slices.BinarySearch(m.in.Grounds, id)
+	return ok && m.count[len(m.in.Satellites)+i] > 0
+}
 
-// Walk implements topo.Mask. Every entry is down: Clear deletes an entry
-// when its count reaches zero.
+// Walk implements topo.Mask, resolving each down element's name through
+// the bound Inputs.
 func (m *Mask) Walk(node func(id string), link func(a, b string)) {
-	for id := range m.nodes {
-		node(id)
+	if m.Empty() {
+		return
 	}
-	for k := range m.edges {
-		link(k[0], k[1])
+	sats, nodes := len(m.in.Satellites), m.in.nodes()
+	for _, e := range m.down {
+		switch {
+		case int(e) < sats:
+			node(m.in.Satellites[e])
+		case e < nodes:
+			node(m.in.Grounds[int(e)-sats])
+		default:
+			isl := m.in.ISLs[e-nodes]
+			link(isl[0], isl[1])
+		}
 	}
 }
 
 // Empty implements topo.Mask.
-func (m *Mask) Empty() bool { return len(m.nodes) == 0 && len(m.edges) == 0 }
-
-// Down returns the number of failed nodes and links.
-func (m *Mask) Down() (nodes, edges int) { return len(m.nodes), len(m.edges) }
-
-// PathDown reports whether any node or hop of the node sequence is failed.
-func (m *Mask) PathDown(nodes []string) bool {
-	if m.Empty() {
-		return false
-	}
-	for i, id := range nodes {
-		if m.NodeDown(id) {
-			return true
-		}
-		if i+1 < len(nodes) && m.EdgeDown(id, nodes[i+1]) {
-			return true
-		}
-	}
-	return false
-}
+func (m *Mask) Empty() bool { return len(m.down) == 0 }
 
 // Drive schedules the timeline onto the engine: at each event's start the
 // mask applies it, at its end (when inside the horizon) the mask clears
@@ -110,17 +109,29 @@ func (m *Mask) PathDown(nodes []string) bool {
 // them into — while the queue holds one pending start plus the live
 // repairs instead of every event. That needs events sorted by StartS
 // with EndS ≥ StartS, as Generate builds them; Drive rejects any other
-// timeline. The callbacks read the timeline's events in place, so it must
-// not change while the engine runs.
+// timeline, or events that name no element of the timeline's Inputs, or
+// Inputs out of their documented order. The callbacks read the timeline's
+// events in place, so it must not change while the engine runs. Drive
+// binds m to the timeline's Inputs, which Walk and NodeDown then resolve
+// names through.
 func (tl *Timeline) Drive(e *sim.Engine, m *Mask, onChange func(e *sim.Engine, ev Event, down bool)) error {
 	if m == nil {
 		return fmt.Errorf("faults: drive needs a mask")
 	}
-	evs, horizonS := tl.Events, tl.HorizonS
+	in, evs, horizonS := &tl.Inputs, tl.Events, tl.HorizonS
+	if err := in.check(); err != nil {
+		return err
+	}
 	for i := range evs {
 		if evs[i].EndS < evs[i].StartS || (i > 0 && evs[i].StartS < evs[i-1].StartS) {
 			return fmt.Errorf("faults: drive needs events sorted by start and ending no earlier; event %d is not", i)
 		}
+		if in.element(evs[i]) < 0 {
+			return fmt.Errorf("faults: event %d (%v %d) names no element of the timeline's inputs", i, evs[i].Kind, evs[i].Elem)
+		}
+	}
+	if err := m.bind(in); err != nil {
+		return err
 	}
 	if len(evs) == 0 {
 		return nil
@@ -131,26 +142,29 @@ func (tl *Timeline) Drive(e *sim.Engine, m *Mask, onChange func(e *sim.Engine, e
 			panic(err) // times and sequence numbers were checked above
 		}
 	}
-	var start func(i int) func(*sim.Engine)
-	start = func(i int) func(*sim.Engine) {
-		return func(e *sim.Engine) {
-			ev := &evs[i]
-			if ev.EndS < horizonS { // repairs beyond the horizon are never observed
-				must(e.ScheduleSeq(ev.EndS, base+2*uint64(i)+1, func(e *sim.Engine) {
-					m.Clear(*ev)
-					if onChange != nil {
-						onChange(e, *ev, false)
-					}
-				}))
-			}
-			if i+1 < len(evs) {
-				must(e.ScheduleSeq(evs[i+1].StartS, base+2*uint64(i+1), start(i+1)))
-			}
-			m.Apply(*ev)
-			if onChange != nil {
-				onChange(e, *ev, true)
-			}
+	// Starts fire one at a time and in order, so one callback serves them
+	// all, with next the index of the start that fires next.
+	next := 0
+	var start func(*sim.Engine)
+	start = func(e *sim.Engine) {
+		i := next
+		next++
+		ev := &evs[i]
+		if ev.EndS < horizonS { // repairs beyond the horizon are never observed
+			must(e.ScheduleSeq(ev.EndS, base+2*uint64(i)+1, func(e *sim.Engine) {
+				m.repair(in.element(*ev))
+				if onChange != nil {
+					onChange(e, *ev, false)
+				}
+			}))
+		}
+		if i+1 < len(evs) {
+			must(e.ScheduleSeq(evs[i+1].StartS, base+2*uint64(i+1), start))
+		}
+		m.apply(in.element(*ev))
+		if onChange != nil {
+			onChange(e, *ev, true)
 		}
 	}
-	return e.ScheduleSeq(evs[0].StartS, base, start(0))
+	return e.ScheduleSeq(evs[0].StartS, base, start)
 }

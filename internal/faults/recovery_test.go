@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/routing"
@@ -41,13 +42,34 @@ func recoverySnapshot(t *testing.T) *topo.Snapshot {
 	return s
 }
 
+// nodeElem returns the element index of id in a sorted ID list.
+func nodeElem(t *testing.T, ids []string, id string) int32 {
+	t.Helper()
+	i, ok := slices.BinarySearch(ids, id)
+	if !ok {
+		t.Fatalf("%q is not an element", id)
+	}
+	return int32(i)
+}
+
+// islElem returns the element index of the ISL between a and b.
+func islElem(t *testing.T, in Inputs, a, b string) int32 {
+	t.Helper()
+	i, ok := slices.BinarySearchFunc(in.ISLs, [2]string{min(a, b), max(a, b)}, compareISLs)
+	if !ok {
+		t.Fatalf("%s–%s is not an ISL element", a, b)
+	}
+	return int32(i)
+}
+
 // TestFlowSurvivesISLFailureViaBackup is the acceptance scenario: an ISL on
 // the active path fails mid-run and the flow rides out the outage on its
 // precomputed edge-disjoint backup, down only for detection + FRR switch.
 func TestFlowSurvivesISLFailureViaBackup(t *testing.T) {
 	snap := recoverySnapshot(t)
-	tl := &Timeline{HorizonS: 100, Events: []Event{
-		{Kind: KindISLFlap, From: "a", To: "dst", StartS: 10, EndS: 20},
+	in := InputsFromSnapshot(snap)
+	tl := &Timeline{HorizonS: 100, Inputs: in, Events: []Event{
+		{Kind: KindISLFlap, Elem: islElem(t, in, "a", "dst"), StartS: 10, EndS: 20},
 	}}
 	rc := DefaultRecovery()
 	res, err := RunFlows(snap, []FlowSpec{{ID: "f0", Src: "src", Dst: "dst"}}, tl, rc, routing.LatencyCost(0))
@@ -81,9 +103,10 @@ func TestFlowSurvivesISLFailureViaBackup(t *testing.T) {
 // slow path recomputes a route on the degraded snapshot and adopts it.
 func TestRecomputeWhenAllBackupsDead(t *testing.T) {
 	snap := recoverySnapshot(t)
-	tl := &Timeline{HorizonS: 100, Events: []Event{
-		{Kind: KindSatFailure, Node: "a", StartS: 10, EndS: 1e6},
-		{Kind: KindSatFailure, Node: "b", StartS: 10, EndS: 1e6},
+	in := InputsFromSnapshot(snap)
+	tl := &Timeline{HorizonS: 100, Inputs: in, Events: []Event{
+		{Kind: KindSatFailure, Elem: nodeElem(t, in.Satellites, "a"), StartS: 10, EndS: 1e6},
+		{Kind: KindSatFailure, Elem: nodeElem(t, in.Satellites, "b"), StartS: 10, EndS: 1e6},
 	}}
 	rc := DefaultRecovery()
 	rc.Backups = 2 // candidates via a and b only; c needs a recompute
@@ -131,8 +154,9 @@ func TestOutageWithNoRouteLastsUntilRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := &Timeline{HorizonS: 100, Events: []Event{
-		{Kind: KindSatFailure, Node: "m", StartS: 10, EndS: 30},
+	in := InputsFromSnapshot(snap)
+	tl := &Timeline{HorizonS: 100, Inputs: in, Events: []Event{
+		{Kind: KindSatFailure, Elem: nodeElem(t, in.Satellites, "m"), StartS: 10, EndS: 30},
 	}}
 	rc := DefaultRecovery()
 	res, err := RunFlows(snap, []FlowSpec{{ID: "f0", Src: "src", Dst: "dst"}}, tl, rc, routing.LatencyCost(0))

@@ -18,10 +18,14 @@ import (
 // sets at a fraction of the complexity, and every returned path is valid
 // and mutually edge-disjoint — which is what the splitter needs.
 func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]Path, error) {
+	return NewSearcher(s, cost).DisjointPaths(src, dst, k)
+}
+
+// DisjointPaths is DisjointPaths on the searcher's snapshot, cost and mask.
+func (sr *Searcher) DisjointPaths(src, dst string, k int) ([]Path, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	sr := NewSearcher(s, cost)
 	si, d, err := sr.endpoints(src, dst)
 	if err != nil {
 		return nil, err
@@ -44,7 +48,7 @@ func DisjointPaths(s *topo.Snapshot, src, dst string, cost CostFunc, k int) ([]P
 		}
 		for _, j := range sr.arena { // ban used links in both directions
 			sr.banEdge[j] = sr.banGen
-			if r, ok := s.EdgeIndex(sr.to[j], s.EdgeFrom(j)); ok {
+			if r, ok := sr.snap.EdgeIndex(sr.to[j], sr.snap.EdgeFrom(j)); ok {
 				sr.banEdge[r] = sr.banGen
 			}
 		}

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -26,6 +28,37 @@ func disjointSnapshot(t *testing.T) *topo.Snapshot {
 	return topo.Build(0, cfg, sats,
 		[]topo.GroundSpec{{ID: "gs-seattle", Provider: "p", Pos: geo.LatLon{Lat: 47.6, Lon: -122.3}}},
 		[]topo.UserSpec{{ID: "u-nairobi", Provider: "p", Pos: geo.LatLon{Lat: -1.29, Lon: 36.82}}})
+}
+
+// TestSearcherDisjointPathsMatchesFresh: one searcher serving many flows
+// — interleaved with shortest-path and Yen queries that leave bans and
+// labels behind — returns exactly what a fresh searcher per flow does.
+func TestSearcherDisjointPathsMatchesFresh(t *testing.T) {
+	s := disjointSnapshot(t)
+	cost := LatencyCost(0)
+	sr := NewSearcher(s, cost)
+	ids := s.Nodes()
+	multi := 0
+	for i := 0; i < len(ids); i += 7 {
+		src, dst := ids[i], ids[(i*5+3)%len(ids)]
+		want, wantErr := DisjointPaths(s, src, dst, cost, 3)
+		got, err := sr.DisjointPaths(src, dst, 3)
+		if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s → %s: shared searcher %v (%v), fresh %v (%v)", src, dst, got, err, want, wantErr)
+		}
+		if len(got) > 1 {
+			multi++
+		}
+		if _, err := sr.ShortestPath(dst, src); err != nil && !errors.Is(err, ErrNoPath) {
+			t.Fatal(err)
+		}
+		if err := sr.KShortestEdges(src, dst, 3, func([]int32) {}); err != nil && !errors.Is(err, ErrNoPath) {
+			t.Fatal(err)
+		}
+	}
+	if multi < 3 {
+		t.Fatalf("only %d flows had several disjoint paths; the comparison is nearly vacuous", multi)
+	}
 }
 
 func TestDisjointPathsAreDisjoint(t *testing.T) {

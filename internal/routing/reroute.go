@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"fmt"
-
-	"github.com/openspace-project/openspace/internal/topo"
-)
+import "fmt"
 
 // Protected is a flow with fast-reroute protection: a set of precomputed
 // edge-disjoint candidate paths (DisjointPaths) plus the path currently
@@ -22,14 +18,15 @@ type Protected struct {
 	currentIdx int // index into Paths, or -1 after Adopt
 }
 
-// Protect computes up to k edge-disjoint paths for the flow and installs
-// the cheapest as the active path. k must be ≥ 1; at least one path must
-// exist (ErrNoPath otherwise).
-func Protect(s *topo.Snapshot, src, dst string, cost CostFunc, k int) (*Protected, error) {
+// Protect computes up to k edge-disjoint paths for the flow on the
+// searcher's snapshot, cost and mask, and installs the cheapest as the
+// active path. k must be ≥ 1; at least one path must exist (ErrNoPath
+// otherwise). One searcher can protect any number of flows.
+func (sr *Searcher) Protect(src, dst string, k int) (*Protected, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("routing: protect: k %d must be ≥ 1", k)
 	}
-	paths, err := DisjointPaths(s, src, dst, cost, k)
+	paths, err := sr.DisjointPaths(src, dst, k)
 	if err != nil {
 		return nil, err
 	}
@@ -48,17 +45,18 @@ func (p *Protected) OnBackup() bool { return p.currentIdx != 0 }
 
 // Reroute switches the flow to the first candidate that alive accepts,
 // scanning in cost order (so a repaired primary is preferred over a longer
-// backup). It returns the chosen path and false when no candidate survives
-// — the caller must then fall back to a full recompute on the degraded
-// snapshot (Adopt) or declare the flow down.
-func (p *Protected) Reroute(alive func(Path) bool) (Path, bool) {
+// backup); alive(i) judges Paths[i]. It returns the chosen candidate's
+// index, and false when no candidate survives — the caller must then fall
+// back to a full recompute on the degraded snapshot (Adopt) or declare the
+// flow down.
+func (p *Protected) Reroute(alive func(i int) bool) (int, bool) {
 	for i, c := range p.Paths {
-		if alive(c) {
+		if alive(i) {
 			p.current, p.currentIdx = c, i
-			return c, true
+			return i, true
 		}
 	}
-	return Path{}, false
+	return 0, false
 }
 
 // Adopt installs a recomputed path (found on the degraded topology after

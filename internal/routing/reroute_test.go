@@ -38,7 +38,7 @@ func diamondSnapshot(t *testing.T) *topo.Snapshot {
 
 func TestProtectFindsDisjointCandidates(t *testing.T) {
 	s := diamondSnapshot(t)
-	p, err := Protect(s, "src", "dst", LatencyCost(0), 3)
+	p, err := NewSearcher(s, LatencyCost(0)).Protect("src", "dst", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,49 +55,49 @@ func TestProtectFindsDisjointCandidates(t *testing.T) {
 
 func TestProtectErrors(t *testing.T) {
 	s := diamondSnapshot(t)
-	if _, err := Protect(s, "src", "dst", LatencyCost(0), 0); err == nil {
+	if _, err := NewSearcher(s, LatencyCost(0)).Protect("src", "dst", 0); err == nil {
 		t.Error("k=0 must be rejected")
 	}
-	if _, err := Protect(s, "src", "ghost", LatencyCost(0), 2); err == nil {
+	if _, err := NewSearcher(s, LatencyCost(0)).Protect("src", "ghost", 2); err == nil {
 		t.Error("unknown endpoint must error")
 	}
 }
 
 func TestRerouteSwitchesToSurvivor(t *testing.T) {
 	s := diamondSnapshot(t)
-	p, err := Protect(s, "src", "dst", LatencyCost(0), 3)
+	p, err := NewSearcher(s, LatencyCost(0)).Protect("src", "dst", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Kill the a-route: only the b-route candidate survives.
-	deadA := func(path Path) bool {
-		for _, n := range path.Nodes {
+	deadA := func(i int) bool {
+		for _, n := range p.Paths[i].Nodes {
 			if n == "a" {
 				return false
 			}
 		}
 		return true
 	}
-	got, ok := p.Reroute(deadA)
+	i, ok := p.Reroute(deadA)
 	if !ok {
 		t.Fatal("a surviving candidate exists; reroute must succeed")
 	}
-	if got.Nodes[1] != "b" || !p.OnBackup() {
-		t.Errorf("rerouted to %v (onBackup=%v), want via b", got.Nodes, p.OnBackup())
+	if got := p.Active().Nodes; i != 1 || got[1] != "b" || !p.OnBackup() {
+		t.Errorf("rerouted to candidate %d %v (onBackup=%v), want 1 via b", i, got, p.OnBackup())
 	}
 	// Repairs land: reroute prefers the cheaper primary again.
-	if back, ok := p.Reroute(func(Path) bool { return true }); !ok || back.Nodes[1] != "a" || p.OnBackup() {
-		t.Errorf("repair revert: %v onBackup=%v", back.Nodes, p.OnBackup())
+	if i, ok := p.Reroute(func(int) bool { return true }); !ok || i != 0 || p.Active().Nodes[1] != "a" || p.OnBackup() {
+		t.Errorf("repair revert: candidate %d %v onBackup=%v", i, p.Active().Nodes, p.OnBackup())
 	}
 	// Nothing survives.
-	if _, ok := p.Reroute(func(Path) bool { return false }); ok {
+	if _, ok := p.Reroute(func(int) bool { return false }); ok {
 		t.Error("reroute with no survivors must fail")
 	}
 }
 
 func TestAdoptInstallsRecomputedPath(t *testing.T) {
 	s := diamondSnapshot(t)
-	p, err := Protect(s, "src", "dst", LatencyCost(0), 2)
+	p, err := NewSearcher(s, LatencyCost(0)).Protect("src", "dst", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
