@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -62,6 +63,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	flag.Parse()
 
+	if err := checkInputs(*bytesPer, *intensity); err != nil {
+		fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
+		os.Exit(2)
+	}
+
 	stop, err := prof.Start(*cpuProfile, *memProfile)
 	if err == nil {
 		err = func() error {
@@ -97,6 +103,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "openspace-sim: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkInputs rejects flag values no mode can run on: a transfer size
+// that is not positive, and a fault intensity that is NaN, infinite or
+// negative (faults.Config.Scale reads NaN and +Inf as "no faults").
+func checkInputs(bytesPer int64, intensity float64) error {
+	if bytesPer <= 0 {
+		return fmt.Errorf("-bytes %d must be positive", bytesPer)
+	}
+	if !(intensity >= 0) || math.IsInf(intensity, 1) {
+		return fmt.Errorf("-intensity %v must be finite and non-negative", intensity)
+	}
+	return nil
 }
 
 func run(providers, users, transfers int, bytesPer int64, duration float64, seed int64, workers int) error {

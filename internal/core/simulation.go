@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/openspace-project/openspace/internal/exec"
@@ -64,11 +65,14 @@ var ErrEventBudget = errors.New("core: simulated-event budget exhausted")
 
 // Validate reports whether the scenario is runnable.
 func (s Scenario) Validate() error {
-	if s.DurationS <= 0 {
-		return errors.New("core: scenario duration must be positive")
+	if !positiveFinite(s.DurationS) {
+		return fmt.Errorf("core: scenario duration %v must be positive and finite", s.DurationS)
 	}
-	if s.SnapshotIntervalS <= 0 {
-		return errors.New("core: snapshot interval must be positive")
+	if !positiveFinite(s.SnapshotIntervalS) {
+		return fmt.Errorf("core: snapshot interval %v must be positive and finite", s.SnapshotIntervalS)
+	}
+	if math.IsNaN(s.PerUserRate) || math.IsInf(s.PerUserRate, 0) {
+		return fmt.Errorf("core: per-user rate %v must be finite", s.PerUserRate)
 	}
 	if !s.Aggregate.Enabled() {
 		// Per-flow workload knobs; fluid mode derives its workload from
@@ -80,13 +84,18 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("core: transfer size bounds [%d,%d] invalid", s.MinBytes, s.MaxBytes)
 		}
 	}
-	if s.Faults.Enabled() {
-		if err := s.Faults.Validate(); err != nil {
-			return err
-		}
+	// A NaN failure rate reads as disabled, so the fault config is checked
+	// whether or not it is enabled.
+	if err := s.Faults.Validate(); err != nil {
+		return err
+	}
+	if err := s.Retry.Validate(); err != nil {
+		return fmt.Errorf("core: retry: %w", err)
 	}
 	return nil
 }
+
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // ScenarioResult aggregates a scenario run.
 type ScenarioResult struct {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/faults"
+	"github.com/openspace-project/openspace/internal/fluid"
 	"github.com/openspace-project/openspace/internal/geo"
+	"github.com/openspace-project/openspace/internal/routing"
 )
 
 func scenarioNetwork(t *testing.T) *Network {
@@ -41,6 +44,18 @@ func TestScenarioValidate(t *testing.T) {
 		func(s *Scenario) { s.MinBytes = 0 },
 		func(s *Scenario) { s.MaxBytes = 0 },
 		func(s *Scenario) { s.Faults = faults.Config{SatMTBFS: 3600} }, // enabled but MTTR zero
+		func(s *Scenario) { s.DurationS = math.NaN() },
+		func(s *Scenario) { s.DurationS = math.Inf(1) },
+		func(s *Scenario) { s.SnapshotIntervalS = math.NaN() },
+		func(s *Scenario) { s.SnapshotIntervalS = math.Inf(1) },
+		func(s *Scenario) { s.PerUserRate = math.NaN() },
+		func(s *Scenario) { s.PerUserRate = math.Inf(1) },
+		func(s *Scenario) { s.Aggregate.Users = 1000; s.PerUserRate = math.NaN() },
+		// A NaN failure rate reads as "disabled" and used to run fault-free.
+		func(s *Scenario) { s.Faults = faults.Default(); s.Faults.SatMTBFS = math.NaN() },
+		func(s *Scenario) { s.Retry = routing.Backoff{BaseS: math.NaN(), MaxS: 30, MaxAttempts: 5} },
+		func(s *Scenario) { s.Retry = routing.Backoff{BaseS: 2, MaxS: math.Inf(1), MaxAttempts: 5} },
+		func(s *Scenario) { s.Retry = routing.Backoff{BaseS: -1, MaxS: 30, MaxAttempts: 5} },
 	}
 	for i, mutate := range cases {
 		sc := good
@@ -49,6 +64,55 @@ func TestScenarioValidate(t *testing.T) {
 			t.Errorf("case %d should be invalid", i)
 		}
 	}
+}
+
+// FuzzScenarioValidate checks that whatever Validate accepts is runnable:
+// a finite, positive horizon and interval, a finite rate that is positive
+// on the per-flow path (fluid mode does not read it), and a retry schedule
+// whose delays are finite and non-negative.
+func FuzzScenarioValidate(f *testing.F) {
+	f.Add(100.0, 10.0, 0.1, int64(1), int64(10), 2.0, 30.0, 5, false, 0.0)
+	f.Add(math.NaN(), 10.0, 0.1, int64(1), int64(10), 0.0, 0.0, 0, false, 0.0)
+	f.Add(100.0, math.Inf(1), 0.1, int64(1), int64(10), 0.0, 0.0, 0, true, 0.0)
+	f.Add(100.0, 10.0, math.NaN(), int64(1), int64(10), 0.0, 0.0, 0, true, 0.0)
+	f.Add(100.0, 10.0, 0.1, int64(1), int64(10), 1e308, 0.0, 4, false, 0.0)
+	f.Add(100.0, 10.0, 0.1, int64(1), int64(10), 2.0, 30.0, 5, false, math.NaN())
+	f.Fuzz(func(t *testing.T, durationS, intervalS, rate float64, minBytes, maxBytes int64,
+		baseS, maxS float64, attempts int, aggregate bool, satMTBFS float64) {
+		sc := Scenario{
+			DurationS: durationS, SnapshotIntervalS: intervalS, PerUserRate: rate,
+			MinBytes: minBytes, MaxBytes: maxBytes,
+			Retry: routing.Backoff{BaseS: baseS, MaxS: maxS, MaxAttempts: attempts},
+		}
+		if aggregate {
+			sc.Aggregate = fluid.Config{Users: 1000}
+		}
+		if satMTBFS != 0 {
+			sc.Faults = faults.Default()
+			sc.Faults.SatMTBFS = satMTBFS
+		}
+		if sc.Validate() != nil {
+			return
+		}
+		for name, v := range map[string]float64{"duration": durationS, "interval": intervalS} {
+			if !(v > 0) || math.IsInf(v, 1) {
+				t.Fatalf("accepted %s %v", name, v)
+			}
+		}
+		if math.IsNaN(rate) || math.IsInf(rate, 0) || (!aggregate && rate <= 0) {
+			t.Fatalf("accepted rate %v (aggregate %v)", rate, aggregate)
+		}
+		if satMTBFS != 0 && !sc.Faults.Enabled() {
+			t.Fatalf("accepted satellite MTBF %v that disables injection", satMTBFS)
+		}
+		// Delays never decrease (FuzzBackoffDelay), so the first and the
+		// last bound the whole schedule.
+		for _, i := range []int{0, attempts - 1} {
+			if d, ok := sc.Retry.DelayS(i); ok && (!(d >= 0) || math.IsInf(d, 1)) {
+				t.Fatalf("accepted retry %+v yields delay %v at attempt %d", sc.Retry, d, i)
+			}
+		}
+	})
 }
 
 func TestRunScenarioEndToEnd(t *testing.T) {

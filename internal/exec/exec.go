@@ -111,6 +111,8 @@ func MapAll[T any](workers, n int, fn func(i int) (T, error)) ([]T, []error, err
 }
 
 // ForEach is Map for side-effect-free checks that produce no value.
+//
+//lint:allow unreached perfbench/availability.go and perfbench/capacity.go replay committed rows with it
 func ForEach(workers, n int, fn func(i int) error) error {
 	if fn == nil {
 		return errors.New("exec: nil task function")

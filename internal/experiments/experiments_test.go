@@ -139,7 +139,7 @@ func TestFig2cShapeMatchesPaper(t *testing.T) {
 	}
 	// Coverage grows monotonically (within noise) and the worst-case rule
 	// reaches total coverage in the tens of satellites (paper: ~50).
-	n := r.FullCoverageAt(0.99)
+	n := fullCoverageAt(r, 0.99)
 	if n == 0 {
 		t.Fatal("worst-case coverage never reached 99%")
 	}
@@ -595,4 +595,15 @@ func TestSpectrumExperiment(t *testing.T) {
 	if _, err := SpectrumExperiment(SpectrumConfig{StationCounts: []int{999}, ChannelBudget: 1}); err == nil {
 		t.Error("too many stations should fail")
 	}
+}
+
+// fullCoverageAt returns the smallest swept N whose mean worst-case
+// coverage reaches the threshold, or 0 if never reached.
+func fullCoverageAt(r *Fig2cResult, threshold float64) int {
+	for _, p := range r.WorstCase.Points {
+		if p.Y >= threshold {
+			return int(p.X)
+		}
+	}
+	return 0
 }

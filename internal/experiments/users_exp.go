@@ -78,6 +78,8 @@ type UsersScaleResult struct {
 
 // WallS returns the measured wall time of the cell for the given user
 // count, 0 if that population was not swept.
+//
+//lint:allow unreached scaling_gate_test.go times the fluid path through it
 func (r *UsersScaleResult) WallS(users int) float64 {
 	for _, row := range r.rows {
 		if row.users == users {

@@ -19,6 +19,7 @@ package faults
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -125,8 +126,8 @@ func (c Config) Enabled() bool {
 // timeline.
 func (c Config) Validate() error {
 	check := func(name string, mtbf, mttr float64) error {
-		if mtbf < 0 || mttr < 0 {
-			return fmt.Errorf("faults: %s MTBF/MTTR must be non-negative", name)
+		if !(mtbf >= 0) || math.IsInf(mtbf, 1) || !(mttr >= 0) || math.IsInf(mttr, 1) {
+			return fmt.Errorf("faults: %s MTBF/MTTR (%v s, %v s) must be finite and non-negative", name, mtbf, mttr)
 		}
 		if mtbf > 0 && mttr <= 0 {
 			return fmt.Errorf("faults: %s enabled (MTBF %.0f s) but MTTR is zero", name, mtbf)
@@ -145,7 +146,7 @@ func (c Config) Validate() error {
 	if err := check("storm", c.StormMTBFS, c.StormMTTRS); err != nil {
 		return err
 	}
-	if c.StormMTBFS > 0 && (c.StormFraction <= 0 || c.StormFraction > 1) {
+	if math.IsNaN(c.StormFraction) || (c.StormMTBFS > 0 && (c.StormFraction <= 0 || c.StormFraction > 1)) {
 		return fmt.Errorf("faults: storm fraction %.2f must be in (0,1]", c.StormFraction)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -125,6 +126,13 @@ func TestConfigValidate(t *testing.T) {
 		{GroundMTBFS: 10, GroundMTTRS: -1},
 		{StormMTBFS: 10, StormMTTRS: 5, StormFraction: 0},
 		{StormMTBFS: 10, StormMTTRS: 5, StormFraction: 1.5},
+		{SatMTBFS: math.NaN(), SatMTTRS: 60},
+		{SatMTBFS: 3600, SatMTTRS: math.NaN()},
+		{ISLMTBFS: math.Inf(1), ISLMTTRS: 60},
+		{GroundMTBFS: 3600, GroundMTTRS: math.Inf(1)},
+		{StormMTBFS: 10, StormMTTRS: 5, StormFraction: math.NaN()},
+		{StormFraction: math.NaN()},
+		Default().Scale(math.NaN()),
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {

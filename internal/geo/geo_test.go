@@ -122,6 +122,19 @@ func TestCentralAngleTriangleInequality(t *testing.T) {
 	}
 }
 
+// InitialBearing returns the initial great-circle bearing from a to b in
+// degrees clockwise from north, in [0, 360): the inverse Destination is
+// checked against.
+func InitialBearing(a, b LatLon) float64 {
+	la, lo := a.Radians()
+	lb, lp := b.Radians()
+	dLon := lp - lo
+	y := math.Sin(dLon) * math.Cos(lb)
+	x := math.Cos(la)*math.Sin(lb) - math.Sin(la)*math.Cos(lb)*math.Cos(dLon)
+	br := Degrees(math.Atan2(y, x))
+	return math.Mod(br+360, 360)
+}
+
 func TestInitialBearingCardinal(t *testing.T) {
 	origin := LatLon{0, 0}
 	tests := []struct {
@@ -171,26 +184,6 @@ func TestDestinationDistance(t *testing.T) {
 				t.Errorf("Destination(%v,%v,%v) at distance %v, want %v", p, brg, d, gd, d)
 			}
 		}
-	}
-}
-
-func TestMidpoint(t *testing.T) {
-	a, b := LatLon{0, 0}, LatLon{0, 90}
-	m := Midpoint(a, b)
-	if !almostEqual(m.Lat, 0, 1e-9) || !almostEqual(m.Lon, 45, 1e-9) {
-		t.Errorf("Midpoint = %v, want 0,45", m)
-	}
-	// Midpoint is equidistant.
-	f := func(a, b LatLon) bool {
-		a, b = a.Normalize(), b.Normalize()
-		if CentralAngle(a, b) > math.Pi-0.1 { // skip antipodal degeneracy
-			return true
-		}
-		m := Midpoint(a, b)
-		return almostEqual(CentralAngle(a, m), CentralAngle(m, b), 1e-9)
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
 	}
 }
 

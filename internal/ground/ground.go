@@ -20,7 +20,6 @@ package ground
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -109,11 +108,18 @@ func (s *Station) Admit(trafficProvider string, bytes int64, t float64) (Offer, 
 	return offer, nil
 }
 
-// Usage returns the metered bytes per provider, for ledger cross-checks.
+// Usage returns a copy of the metered bytes per provider, for ledger
+// cross-checks.
+//
+//lint:allow unreached internal/core/core_test.go checks the gateway meter against the ledger through it
 func (s *Station) Usage() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.meter.usage()
+	out := make(map[string]int64, len(s.meter.byProvider))
+	for k, v := range s.meter.byProvider {
+		out[k] = v
+	}
+	return out
 }
 
 // Utilization returns the backhaul utilisation in [0,1] at t.
@@ -130,24 +136,6 @@ type Meter struct {
 
 func (m *Meter) record(provider string, bytes int64) {
 	m.byProvider[provider] += bytes
-}
-
-func (m *Meter) usage() map[string]int64 {
-	out := make(map[string]int64, len(m.byProvider))
-	for k, v := range m.byProvider {
-		out[k] = v
-	}
-	return out
-}
-
-// Providers returns metered providers in sorted order.
-func (m *Meter) Providers() []string {
-	ps := make([]string, 0, len(m.byProvider))
-	for p := range m.byProvider {
-		ps = append(ps, p)
-	}
-	sort.Strings(ps)
-	return ps
 }
 
 // Queue is a fluid two-class priority queue: home traffic drains strictly

@@ -151,10 +151,6 @@ func TestMeterUsage(t *testing.T) {
 	if s.Usage()["acme"] != 100 {
 		t.Error("Usage leaked internal state")
 	}
-	m := Meter{byProvider: map[string]int64{"b": 1, "a": 2}}
-	if p := m.Providers(); len(p) != 2 || p[0] != "a" || p[1] != "b" {
-		t.Errorf("Providers = %v", p)
-	}
 }
 
 func TestAdmitValidation(t *testing.T) {

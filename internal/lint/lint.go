@@ -2,14 +2,15 @@
 // enforces the repository's correctness contracts: the same seed must
 // produce byte-identical experiment output at any worker count, hot
 // kernels must not allocate, and neither of those disciplines may
-// introduce aliasing or sharing bugs of its own. Eight analyzers cover
+// introduce aliasing or sharing bugs of its own. Nine analyzers cover
 // the bug classes that historically break the contracts — wall-clock
 // reads and process-global randomness (nondeterm), emission in map
 // iteration order (maporder), silently dropped writer errors (errdrop),
 // exact floating-point comparison (floateq), allocation in //lint:hotpath
 // kernels (hotalloc), untagged or colliding RNG streams (seeddomain),
-// scratch buffers escaping their owner (scratchsafe), and non-disjoint
-// writes from pool-task closures (poolshare).
+// scratch buffers escaping their owner (scratchsafe), non-disjoint
+// writes from pool-task closures (poolshare), and functions no binary
+// reaches (unreached).
 //
 // Intentional exceptions are annotated in source:
 //
@@ -54,6 +55,7 @@ func Analyzers() []*Analyzer {
 		seeddomainAnalyzer(),
 		scratchsafeAnalyzer(),
 		poolshareAnalyzer(),
+		unreachedAnalyzer(),
 	}
 }
 
@@ -120,7 +122,12 @@ type Pass struct {
 	All      []*Package
 	analyzer *Analyzer
 	diags    *[]Diagnostic
+	skipped  bool
 }
+
+// Skip records that the analyzer could not judge this package, so its
+// //lint:allow directives there are not reported stale.
+func (p *Pass) Skip() { p.skipped = true }
 
 // Report records a finding at the node's position.
 func (p *Pass) Report(n ast.Node, format string, args ...any) {
@@ -194,17 +201,16 @@ func directives(fset *token.FileSet, pkg *Package, known map[string]bool, diags 
 // reported. Directive validation is subset-aware: a directive naming any
 // analyzer of the full suite is well-formed even when that analyzer is
 // not in this run, and staleness is only judged for analyzers that
-// actually ran (a subset run cannot tell whether a skipped analyzer's
-// directive still earns its keep).
+// actually ran and judged the package (a subset run, or an analyzer that
+// called Pass.Skip, cannot tell whether its directive still earns its
+// keep).
 func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := map[string]bool{}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	ran := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
-		ran[a.Name] = true
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -219,8 +225,11 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 				allowed[allowKey{d.pos.Filename, l, d.analyzer}] = d
 			}
 		}
+		judged := map[string]bool{}
 		for _, a := range analyzers {
-			a.Run(&Pass{Fset: fset, Pkg: pkg, All: pkgs, analyzer: a, diags: &raw})
+			pass := &Pass{Fset: fset, Pkg: pkg, All: pkgs, analyzer: a, diags: &raw}
+			a.Run(pass)
+			judged[a.Name] = !pass.skipped
 		}
 		for _, d := range raw {
 			if dir := allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; dir != nil {
@@ -230,7 +239,7 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 			diags = append(diags, d)
 		}
 		for _, d := range dirs {
-			if !d.used && ran[d.analyzer] {
+			if !d.used && judged[d.analyzer] {
 				diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: "directive",
 					Message: fmt.Sprintf("stale //lint:allow %s: no %s finding on this line or the next; delete the directive", d.analyzer, d.analyzer)})
 			}
@@ -252,13 +261,6 @@ func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) [
 	return diags
 }
 
-// Main is the CLI entry point: load the patterns, run the suite, print
-// file:line:col diagnostics, and return the exit code (0 clean, 1
-// findings, 2 load failure).
-func Main(dir string, patterns []string, stdout, stderr io.Writer) int {
-	return Run(dir, patterns, false, stdout, stderr)
-}
-
 // jsonDiagnostic is the machine-readable rendering of one finding: one
 // JSON object per line, stable field order, for CI artifacts and tooling.
 type jsonDiagnostic struct {
@@ -269,16 +271,11 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-// Run is Main with an output selector: human-readable file:line:col text,
-// or JSON lines when jsonOut is set. Exit codes are identical either way
-// (0 clean, 1 findings, 2 load failure).
-func Run(dir string, patterns []string, jsonOut bool, stdout, stderr io.Writer) int {
-	return RunSelected(dir, patterns, jsonOut, Analyzers(), stdout, stderr)
-}
-
-// RunSelected is Run restricted to the given analyzers — the engine
-// behind the CLI's -analyzers subset flag. Exit codes are unchanged from
-// the full run (0 clean, 1 findings, 2 load failure).
+// RunSelected is the CLI entry point: load the patterns (./... when none
+// are given), run the given analyzers — the full suite, or the subset the
+// -analyzers flag selects — and print the findings as file:line:col text,
+// or as JSON lines when jsonOut is set. It returns the exit code: 0 clean,
+// 1 findings, 2 load failure.
 func RunSelected(dir string, patterns []string, jsonOut bool, analyzers []*Analyzer, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

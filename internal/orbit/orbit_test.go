@@ -198,35 +198,3 @@ func TestGroundTrack(t *testing.T) {
 		t.Error("degenerate arguments should yield nil track")
 	}
 }
-
-func TestSunSynchronousInclination(t *testing.T) {
-	// Reference values: ~97.4° at 550 km, ~98.6° at 800 km (standard SSO
-	// mission altitudes).
-	got, err := SunSynchronousInclinationDeg(550)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 97 || got > 98 {
-		t.Errorf("SSO at 550 km = %v°, want ~97.5", got)
-	}
-	got, err = SunSynchronousInclinationDeg(800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 98 || got > 99.2 {
-		t.Errorf("SSO at 800 km = %v°, want ~98.6", got)
-	}
-	// Inclination grows with altitude (more J2 leverage needed).
-	lo, _ := SunSynchronousInclinationDeg(400)
-	hi, _ := SunSynchronousInclinationDeg(1200)
-	if hi <= lo {
-		t.Errorf("SSO inclination should grow with altitude: %v vs %v", lo, hi)
-	}
-	// Out of range.
-	if _, err := SunSynchronousInclinationDeg(0); err == nil {
-		t.Error("zero altitude should fail")
-	}
-	if _, err := SunSynchronousInclinationDeg(10000); err == nil {
-		t.Error("too-high altitude should fail")
-	}
-}

@@ -1,20 +1,14 @@
 package orbit
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
-
-	"github.com/openspace-project/openspace/internal/geo"
 )
 
 // TLE is a parsed two-line element set — the format in which the
 // "radar-tracked orbital paths of satellites" the paper's routing relies on
 // (§2.2) are published on the public catalogues it cites (N2YO,
-// AstriaGraph). OpenSpace providers ingest each other's TLEs to compute the
-// shared network topology.
+// AstriaGraph). openspace-constellation -tle exports a constellation in it.
 type TLE struct {
 	Name             string // line 0, optional
 	CatalogNum       int
@@ -24,14 +18,6 @@ type TLE struct {
 	Elements         Elements
 	MeanMotionRevDay float64
 }
-
-// TLE parsing errors.
-var (
-	ErrTLELineLength = errors.New("orbit: tle: line must be 69 characters")
-	ErrTLEChecksum   = errors.New("orbit: tle: checksum mismatch")
-	ErrTLELineNumber = errors.New("orbit: tle: wrong line number")
-	ErrTLEField      = errors.New("orbit: tle: malformed field")
-)
 
 // tleChecksum computes the modulo-10 checksum of the first 68 characters:
 // digits count their value, '-' counts 1, everything else 0.
@@ -46,85 +32,6 @@ func tleChecksum(line string) int {
 		}
 	}
 	return sum % 10
-}
-
-// ParseTLE parses the two data lines (and an optional preceding name).
-// Checksums are verified; the mean motion is converted to a semi-major
-// axis via Kepler's third law.
-func ParseTLE(name, line1, line2 string) (*TLE, error) {
-	line1 = strings.TrimRight(line1, "\r\n")
-	line2 = strings.TrimRight(line2, "\r\n")
-	if len(line1) != 69 || len(line2) != 69 {
-		return nil, ErrTLELineLength
-	}
-	if line1[0] != '1' {
-		return nil, fmt.Errorf("%w: line 1 starts with %q", ErrTLELineNumber, line1[0])
-	}
-	if line2[0] != '2' {
-		return nil, fmt.Errorf("%w: line 2 starts with %q", ErrTLELineNumber, line2[0])
-	}
-	for i, l := range []string{line1, line2} {
-		want, err := strconv.Atoi(l[68:69])
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d checksum digit", ErrTLEField, i+1)
-		}
-		if got := tleChecksum(l); got != want {
-			return nil, fmt.Errorf("%w: line %d has %d, want %d", ErrTLEChecksum, i+1, want, got)
-		}
-	}
-	t := &TLE{Name: strings.TrimSpace(name)}
-	var err error
-	if t.CatalogNum, err = atoiTrim(line1[2:7]); err != nil {
-		return nil, fmt.Errorf("%w: catalog number: %v", ErrTLEField, err)
-	}
-	t.IntlDesig = strings.TrimSpace(line1[9:17])
-	yy, err := atoiTrim(line1[18:20])
-	if err != nil {
-		return nil, fmt.Errorf("%w: epoch year: %v", ErrTLEField, err)
-	}
-	if yy < 57 { // TLE convention: 57–99 → 19xx, 00–56 → 20xx
-		t.EpochYear = 2000 + yy
-	} else {
-		t.EpochYear = 1900 + yy
-	}
-	if t.EpochDay, err = parseFloatTrim(line1[20:32]); err != nil {
-		return nil, fmt.Errorf("%w: epoch day: %v", ErrTLEField, err)
-	}
-
-	e := Elements{}
-	if e.InclinationDeg, err = parseFloatTrim(line2[8:16]); err != nil {
-		return nil, fmt.Errorf("%w: inclination: %v", ErrTLEField, err)
-	}
-	if e.RAANDeg, err = parseFloatTrim(line2[17:25]); err != nil {
-		return nil, fmt.Errorf("%w: raan: %v", ErrTLEField, err)
-	}
-	// Eccentricity has an implied leading decimal point.
-	eccDigits := strings.TrimSpace(line2[26:33])
-	eccInt, err := strconv.ParseUint(eccDigits, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: eccentricity: %v", ErrTLEField, err)
-	}
-	e.Eccentricity = float64(eccInt) / 1e7
-	if e.ArgPerigeeDeg, err = parseFloatTrim(line2[34:42]); err != nil {
-		return nil, fmt.Errorf("%w: argument of perigee: %v", ErrTLEField, err)
-	}
-	if e.MeanAnomalyDeg, err = parseFloatTrim(line2[43:51]); err != nil {
-		return nil, fmt.Errorf("%w: mean anomaly: %v", ErrTLEField, err)
-	}
-	if t.MeanMotionRevDay, err = parseFloatTrim(line2[52:63]); err != nil {
-		return nil, fmt.Errorf("%w: mean motion: %v", ErrTLEField, err)
-	}
-	if t.MeanMotionRevDay <= 0 {
-		return nil, fmt.Errorf("%w: mean motion must be positive", ErrTLEField)
-	}
-	// n [rad/s] = rev/day · 2π / 86400 ; a = (μ/n²)^(1/3).
-	n := t.MeanMotionRevDay * 2 * math.Pi / 86400
-	e.SemiMajorAxisKm = math.Cbrt(geo.EarthMuKm3S2 / (n * n))
-	t.Elements = e
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // FormatTLE renders the element set as a catalogue-compatible two-line
@@ -154,12 +61,4 @@ func FromElements(name string, catalog int, e Elements) *TLE {
 		Elements:         e,
 		MeanMotionRevDay: e.MeanMotionRadS() * 86400 / (2 * math.Pi),
 	}
-}
-
-func atoiTrim(s string) (int, error) {
-	return strconv.Atoi(strings.TrimSpace(s))
-}
-
-func parseFloatTrim(s string) (float64, error) {
-	return strconv.ParseFloat(strings.TrimSpace(s), 64)
 }

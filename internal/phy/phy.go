@@ -8,8 +8,7 @@
 // spacecraft out. This package encodes those trade-offs quantitatively:
 // standard link-budget arithmetic (EIRP, free-space path loss, noise floor)
 // feeding a Shannon-capacity estimate, plus the pointing/acquisition/tracking
-// (PAT) timing and slew model that governs how quickly a laser link can be
-// (re-)established.
+// (PAT) timing that governs how quickly a laser link can be (re-)established.
 //
 // Conventions: distances in kilometres, frequencies in hertz, powers in
 // watts, gains and losses in decibels, capacities in bits per second.

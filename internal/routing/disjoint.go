@@ -55,31 +55,3 @@ func (sr *Searcher) DisjointPaths(src, dst string, k int) ([]Path, error) {
 	}
 	return paths, nil
 }
-
-// SplitFlow divides totalBps across the given paths in proportion to each
-// path's bottleneck capacity, never exceeding any bottleneck. It returns
-// the per-path allocation (aligned with paths) and the total placed, which
-// is less than totalBps when the disjoint set cannot carry it all.
-func SplitFlow(paths []Path, totalBps float64) ([]float64, float64) {
-	if len(paths) == 0 || totalBps <= 0 {
-		return nil, 0
-	}
-	var capSum float64
-	for _, p := range paths {
-		capSum += p.MinCapacityBps
-	}
-	alloc := make([]float64, len(paths))
-	if capSum == 0 {
-		return alloc, 0
-	}
-	var placed float64
-	for i, p := range paths {
-		share := totalBps * p.MinCapacityBps / capSum
-		if share > p.MinCapacityBps {
-			share = p.MinCapacityBps
-		}
-		alloc[i] = share
-		placed += share
-	}
-	return alloc, placed
-}

@@ -1,6 +1,9 @@
 package routing
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Protected is a flow with fast-reroute protection: a set of precomputed
 // edge-disjoint candidate paths (DisjointPaths) plus the path currently
@@ -35,9 +38,6 @@ func (sr *Searcher) Protect(src, dst string, k int) (*Protected, error) {
 	}
 	return &Protected{Src: src, Dst: dst, Paths: paths, current: paths[0], currentIdx: 0}, nil
 }
-
-// Active returns the path currently carrying the flow.
-func (p *Protected) Active() Path { return p.current }
 
 // OnBackup reports whether the flow has left its primary (cheapest) path —
 // either rerouted to a backup or running on an adopted recomputed path.
@@ -107,4 +107,17 @@ func (b Backoff) DelayS(attempt int) (float64, bool) {
 		d = b.MaxS
 	}
 	return d, true
+}
+
+// Validate rejects a schedule whose delays would not be finite,
+// non-negative seconds: a NaN, infinite or negative BaseS or MaxS, or an
+// uncapped (MaxS = 0) schedule whose last delay overflows.
+func (b Backoff) Validate() error {
+	if !(b.BaseS >= 0) || math.IsInf(b.BaseS, 1) || !(b.MaxS >= 0) || math.IsInf(b.MaxS, 1) {
+		return fmt.Errorf("routing: backoff base %v s and cap %v s must be finite and non-negative", b.BaseS, b.MaxS)
+	}
+	if b.MaxS == 0 && b.MaxAttempts > 0 && math.IsInf(math.Ldexp(b.BaseS, b.MaxAttempts-1), 1) {
+		return fmt.Errorf("routing: uncapped backoff from %v s overflows within %d attempts", b.BaseS, b.MaxAttempts)
+	}
+	return nil
 }

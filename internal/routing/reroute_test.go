@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/topo"
@@ -48,7 +49,7 @@ func TestProtectFindsDisjointCandidates(t *testing.T) {
 	if p.OnBackup() {
 		t.Error("fresh protection must start on the primary")
 	}
-	if got := p.Active().Nodes; len(got) != 3 || got[1] != "a" {
+	if got := p.current.Nodes; len(got) != 3 || got[1] != "a" {
 		t.Errorf("primary path %v, want via a (cheaper)", got)
 	}
 }
@@ -82,12 +83,12 @@ func TestRerouteSwitchesToSurvivor(t *testing.T) {
 	if !ok {
 		t.Fatal("a surviving candidate exists; reroute must succeed")
 	}
-	if got := p.Active().Nodes; i != 1 || got[1] != "b" || !p.OnBackup() {
+	if got := p.current.Nodes; i != 1 || got[1] != "b" || !p.OnBackup() {
 		t.Errorf("rerouted to candidate %d %v (onBackup=%v), want 1 via b", i, got, p.OnBackup())
 	}
 	// Repairs land: reroute prefers the cheaper primary again.
-	if i, ok := p.Reroute(func(int) bool { return true }); !ok || i != 0 || p.Active().Nodes[1] != "a" || p.OnBackup() {
-		t.Errorf("repair revert: candidate %d %v onBackup=%v", i, p.Active().Nodes, p.OnBackup())
+	if i, ok := p.Reroute(func(int) bool { return true }); !ok || i != 0 || p.current.Nodes[1] != "a" || p.OnBackup() {
+		t.Errorf("repair revert: candidate %d %v onBackup=%v", i, p.current.Nodes, p.OnBackup())
 	}
 	// Nothing survives.
 	if _, ok := p.Reroute(func(int) bool { return false }); ok {
@@ -109,7 +110,7 @@ func TestAdoptInstallsRecomputedPath(t *testing.T) {
 	if !p.OnBackup() {
 		t.Error("adopted path must count as off-primary")
 	}
-	if got := p.Active(); got.Hops != alt.Hops {
+	if got := p.current; got.Hops != alt.Hops {
 		t.Errorf("active = %v, want adopted path", got.Nodes)
 	}
 }
@@ -167,6 +168,64 @@ func TestBackoffEdgeCases(t *testing.T) {
 	if d, ok := (Backoff{BaseS: 1, MaxAttempts: 40}).DelayS(30); !ok || d != float64(int64(1)<<30) {
 		t.Errorf("uncapped DelayS(30) = %v,%v want 2^30,true", d, ok)
 	}
+	// Validate accepts the schedules above and rejects what would yield a
+	// NaN, infinite or negative delay.
+	for _, b := range []Backoff{{}, DefaultBackoff(), {BaseS: 8, MaxS: 3, MaxAttempts: 4}, {BaseS: 1, MaxAttempts: 40}} {
+		if err := b.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", b, err)
+		}
+	}
+	for _, b := range []Backoff{
+		{BaseS: math.NaN(), MaxS: 30, MaxAttempts: 5},
+		{BaseS: math.Inf(1), MaxS: 30, MaxAttempts: 5},
+		{BaseS: -2, MaxS: 30, MaxAttempts: 5},
+		{BaseS: 2, MaxS: math.NaN(), MaxAttempts: 5},
+		{BaseS: 2, MaxS: math.Inf(1), MaxAttempts: 5},
+		{BaseS: 2, MaxS: -1, MaxAttempts: 5},
+		{BaseS: 1e308, MaxAttempts: 3}, // uncapped: the second delay overflows
+	} {
+		if b.Validate() == nil {
+			t.Errorf("%+v accepted", b)
+		}
+	}
+}
+
+// FuzzBackoffDelay checks that the delays of any schedule Validate accepts
+// are finite, non-negative, non-decreasing and at most MaxS when MaxS > 0.
+// Past the first 64 attempts only the last is checked: monotonicity makes
+// it the largest.
+func FuzzBackoffDelay(f *testing.F) {
+	f.Add(2.0, 30.0, 5)
+	f.Add(8.0, 3.0, 4)
+	f.Add(1.0, 0.0, 40)
+	f.Add(5e-324, 0.0, 1075)
+	f.Add(1e308, 0.0, 3)
+	f.Add(math.NaN(), 30.0, 5)
+	f.Add(0.5, math.Inf(1), 5)
+	f.Fuzz(func(t *testing.T, baseS, maxS float64, attempts int) {
+		b := Backoff{BaseS: baseS, MaxS: maxS, MaxAttempts: attempts}
+		if b.Validate() != nil {
+			return
+		}
+		var checked []int
+		for i := 0; i < attempts && i < 64; i++ {
+			checked = append(checked, i)
+		}
+		if attempts > 64 {
+			checked = append(checked, attempts-1)
+		}
+		prev := 0.0
+		for _, i := range checked {
+			d, ok := b.DelayS(i)
+			if !ok {
+				continue
+			}
+			if !(d >= prev) || math.IsInf(d, 1) || (maxS > 0 && d > maxS) {
+				t.Fatalf("%+v: DelayS(%d) = %v after %v", b, i, d, prev)
+			}
+			prev = d
+		}
+	})
 }
 
 // TestBackoffMonotoneNonDecreasing sweeps a deterministic parameter grid

@@ -24,10 +24,9 @@ type event struct {
 // sequence), a total order, so dequeue order is fixed by the schedule
 // alone (see queue.go and its property tests).
 type Engine struct {
-	now     float64
-	seq     uint64
-	events  eventQueue
-	stopped bool
+	now    float64
+	seq    uint64
+	events eventQueue
 	// Processed counts delivered events, for loop-guard assertions.
 	Processed uint64
 	// MaxEvents, when non-zero, is the simulated-event budget: Run
@@ -107,20 +106,15 @@ func (e *Engine) After(delayS float64, fn func(*Engine)) error {
 	return e.Schedule(e.now+delayS, fn)
 }
 
-// Stop halts Run after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in time order until the queue empties, Stop is
-// called, the clock passes untilS (events after untilS stay queued and
-// the clock is left at untilS), or the MaxEvents budget is exhausted (the
-// clock is left at the last delivered event). The step loop itself
-// allocates nothing; what the event callbacks allocate is their own
-// business.
+// Run executes events in time order until the queue empties, the clock
+// passes untilS (events after untilS stay queued and the clock is left at
+// untilS), or the MaxEvents budget is exhausted (the clock is left at the
+// last delivered event). The step loop itself allocates nothing; what the
+// event callbacks allocate is their own business.
 //
 //lint:hotpath
 func (e *Engine) Run(untilS float64) {
-	e.stopped = false
-	for e.events.Len() > 0 && !e.stopped {
+	for e.events.Len() > 0 {
 		if e.MaxEvents > 0 && e.Processed >= e.MaxEvents {
 			return
 		}
@@ -133,12 +127,14 @@ func (e *Engine) Run(untilS float64) {
 		e.Processed++
 		next.fn(e)
 	}
-	if !e.stopped && e.now < untilS {
+	if e.now < untilS {
 		e.now = untilS
 	}
 }
 
 // Pending returns the number of queued events.
+//
+//lint:allow unreached internal/faults/drive_test.go counts what Timeline.Drive queues through it
 func (e *Engine) Pending() int { return e.events.Len() }
 
 // Exhausted reports whether the engine has spent its MaxEvents budget —

@@ -81,17 +81,6 @@ func TestEngineHorizonStopsEarly(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Schedule(1, func(en *Engine) { count++; en.Stop() })
-	e.Schedule(2, func(*Engine) { count++ })
-	e.Run(10)
-	if count != 1 {
-		t.Errorf("Stop did not halt: %d", count)
-	}
-}
-
 func TestEngineEventBudget(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 3
@@ -242,26 +231,6 @@ func TestSeries(t *testing.T) {
 	s.Append(2, 20, 1.0)
 	if len(s.Points) != 2 || s.Points[1].Y != 20 || s.Points[0].YErr != 0.5 {
 		t.Errorf("series = %+v", s)
-	}
-}
-
-func TestUniformUsersValidAndSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	us := UniformUsers(2000, rng)
-	if len(us) != 2000 {
-		t.Fatal("count wrong")
-	}
-	north := 0
-	for _, u := range us {
-		if !u.Valid() {
-			t.Fatalf("invalid user %v", u)
-		}
-		if u.Lat > 0 {
-			north++
-		}
-	}
-	if north < 900 || north > 1100 {
-		t.Errorf("northern users %d of 2000; not uniform", north)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // materializing per-transfer samples.
 //
 // Zero-count contract (same as Histogram): with no recorded weight,
-// Count, Sum, Mean, Min, Max and Quantile all return 0 — never NaN — so
+// Count, Sum, Mean, Max and Quantile all return 0 — never NaN — so
 // empty traffic classes serialize as zeros in CSVs.
 //
 // Determinism: bucket counts live in a map, but every query iterates
@@ -32,7 +32,7 @@ type Sketch struct {
 	zero     uint64 // weight of values ≤ 0 (reported as exactly 0)
 	total    uint64
 	sum      float64
-	min, max float64
+	max      float64
 }
 
 // NewSketch returns a sketch with the given relative accuracy α in
@@ -45,27 +45,12 @@ func NewSketch(alpha float64) (*Sketch, error) {
 	return &Sketch{gamma: gamma, logGamma: math.Log(gamma), counts: make(map[int]uint64)}, nil
 }
 
-// DefaultSketch returns a 1 %-accuracy sketch.
-func DefaultSketch() *Sketch {
-	s, err := NewSketch(0.01)
-	if err != nil {
-		panic(err) // unreachable: 0.01 is in range
-	}
-	return s
-}
-
-// Add records one sample.
-func (s *Sketch) Add(v float64) { s.AddN(v, 1) }
-
 // AddN records n samples of value v in O(1). NaN values are ignored;
 // values ≤ 0 are counted but reported as exactly 0 (latencies and byte
 // counts are non-negative).
 func (s *Sketch) AddN(v float64, n uint64) {
 	if n == 0 || math.IsNaN(v) {
 		return
-	}
-	if s.total == 0 || v < s.min {
-		s.min = v
 	}
 	if s.total == 0 || v > s.max {
 		s.max = v
@@ -106,14 +91,6 @@ func (s *Sketch) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(s.total)
-}
-
-// Min returns the smallest recorded value (exact), 0 with no samples.
-func (s *Sketch) Min() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return s.min
 }
 
 // Max returns the largest recorded value (exact), 0 with no samples.
@@ -157,29 +134,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 		}
 	}
 	return s.max // float slack: the last occupied bucket answers
-}
-
-// Merge folds o into s. The two sketches must share the same accuracy.
-func (s *Sketch) Merge(o *Sketch) error {
-	if o == nil || o.total == 0 {
-		return nil
-	}
-	if s.gamma != o.gamma { //lint:allow floateq sketches are mergeable only at the identical accuracy they were built with
-		return fmt.Errorf("sim: merging sketches with different accuracy (γ %.6g vs %.6g)", s.gamma, o.gamma)
-	}
-	if s.total == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.total == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.total += o.total
-	s.sum += o.sum
-	s.zero += o.zero
-	for i, n := range o.counts {
-		s.counts[i] += n
-	}
-	return nil
 }
 
 // String implements fmt.Stringer.

@@ -7,13 +7,23 @@ import (
 	"testing"
 )
 
+// newTestSketch returns a 1 %-accuracy sketch.
+func newTestSketch(t *testing.T) *Sketch {
+	t.Helper()
+	s, err := NewSketch(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSketchZeroCountContract(t *testing.T) {
-	s := DefaultSketch()
+	s := newTestSketch(t)
 	if s.Count() != 0 {
 		t.Fatalf("empty sketch count = %d", s.Count())
 	}
 	for name, got := range map[string]float64{
-		"mean": s.Mean(), "min": s.Min(), "max": s.Max(),
+		"mean": s.Mean(), "max": s.Max(),
 		"p0": s.Quantile(0), "p50": s.Quantile(0.5), "p100": s.Quantile(1),
 		"sum": s.Sum(),
 	} {
@@ -57,7 +67,7 @@ func TestSketchRelativeAccuracy(t *testing.T) {
 		// Latency-like values across five orders of magnitude.
 		v := math.Exp(rng.NormFloat64()*2 - 3)
 		exact = append(exact, v)
-		s.Add(v)
+		s.AddN(v, 1)
 	}
 	sort.Float64s(exact)
 	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99} {
@@ -78,14 +88,14 @@ func TestSketchRelativeAccuracy(t *testing.T) {
 }
 
 func TestSketchWeightedAddMatchesRepeatedAdd(t *testing.T) {
-	a := DefaultSketch()
-	b := DefaultSketch()
+	a := newTestSketch(t)
+	b := newTestSketch(t)
 	vals := []float64{0.004, 0.035, 0.035, 1.2, 88}
 	weights := []uint64{1000, 1, 999, 40000, 3}
 	for i, v := range vals {
 		a.AddN(v, weights[i])
 		for n := uint64(0); n < weights[i]; n++ {
-			b.Add(v)
+			b.AddN(v, 1)
 		}
 	}
 	if a.Count() != b.Count() {
@@ -97,13 +107,13 @@ func TestSketchWeightedAddMatchesRepeatedAdd(t *testing.T) {
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
 		if a.Quantile(q) != b.Quantile(q) {
-			t.Errorf("q=%.1f: AddN %.6g vs repeated Add %.6g", q, a.Quantile(q), b.Quantile(q))
+			t.Errorf("q=%.1f: weighted AddN %.6g vs repeated unit AddN %.6g", q, a.Quantile(q), b.Quantile(q))
 		}
 	}
 }
 
 func TestSketchZeroAndNegativeValues(t *testing.T) {
-	s := DefaultSketch()
+	s := newTestSketch(t)
 	s.AddN(0, 5)
 	s.AddN(-3, 2) // clamped into the zero bucket
 	s.AddN(10, 3)
@@ -116,49 +126,9 @@ func TestSketchZeroAndNegativeValues(t *testing.T) {
 	if s.Count() != 10 {
 		t.Errorf("count = %d, want 10", s.Count())
 	}
-	s.Add(math.NaN())
+	s.AddN(math.NaN(), 1)
 	if s.Count() != 10 {
 		t.Errorf("NaN was recorded: count = %d", s.Count())
-	}
-}
-
-func TestSketchMerge(t *testing.T) {
-	a, b := DefaultSketch(), DefaultSketch()
-	one := DefaultSketch()
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 5000; i++ {
-		v := rng.Float64() * 100
-		one.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != one.Count() {
-		t.Fatalf("merge lost mass: count %d/%d", a.Count(), one.Count())
-	}
-	if math.Abs(a.Sum()-one.Sum()) > 1e-9*math.Abs(one.Sum()) {
-		t.Fatalf("merge sum diverged: %v vs %v", a.Sum(), one.Sum())
-	}
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		if a.Quantile(q) != one.Quantile(q) {
-			t.Errorf("q=%.2f: merged %.6g vs single %.6g", q, a.Quantile(q), one.Quantile(q))
-		}
-	}
-	mismatched, err := NewSketch(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatched.Add(1)
-	if err := a.Merge(mismatched); err == nil {
-		t.Error("merging mismatched accuracies must fail")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("merging nil: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/openspace-project/openspace/internal/exec"
 )
@@ -34,11 +35,14 @@ const timeExpandedBlock = 16
 // rather than a full rebuild. Results are collected in time order and are
 // identical at any worker count.
 func BuildTimeExpanded(startS, horizonS, intervalS float64, cfg Config, sats []SatSpec, grounds []GroundSpec, users []UserSpec) (*TimeExpanded, error) {
-	if intervalS <= 0 {
-		return nil, fmt.Errorf("topo: interval %.1f must be positive", intervalS)
+	if !(intervalS > 0) || math.IsInf(intervalS, 1) {
+		return nil, fmt.Errorf("topo: interval %.1f must be positive and finite", intervalS)
 	}
-	if horizonS < 0 {
-		return nil, fmt.Errorf("topo: horizon %.1f must be non-negative", horizonS)
+	if !(horizonS >= 0) || math.IsInf(horizonS, 1) {
+		return nil, fmt.Errorf("topo: horizon %.1f must be non-negative and finite", horizonS)
+	}
+	if math.IsNaN(startS) || math.IsInf(startS, 0) {
+		return nil, fmt.Errorf("topo: start %.1f must be finite", startS)
 	}
 	steps := int(horizonS/intervalS) + 1
 	blocks := (steps + timeExpandedBlock - 1) / timeExpandedBlock

@@ -260,6 +260,8 @@ func (s *Snapshot) EdgeFrom(j int32) int32 { return s.g.from[j] }
 // direction only; callers wanting symmetry add both directions), endpoints
 // must name declared nodes, and duplicate directed edges are rejected so a
 // (from, to) pair identifies at most one link.
+//
+//lint:allow unreached the routing, traffic, faults and fluid tests and bench_test.go build their synthetic graphs with it
 func NewSnapshot(t float64, nodes []Node, edges []Edge) (*Snapshot, error) {
 	byID := make(map[string]int, len(nodes))
 	ids := make([]string, 0, len(nodes))

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"testing"
 
 	"github.com/openspace-project/openspace/internal/geo"
@@ -251,6 +252,11 @@ func TestTimeExpanded(t *testing.T) {
 	}
 	if _, err := BuildTimeExpanded(0, -1, 10, DefaultConfig(), sats, nil, nil); err == nil {
 		t.Error("negative horizon should error")
+	}
+	for _, bad := range [][3]float64{{0, math.NaN(), 10}, {0, math.Inf(1), 10}, {0, 100, math.NaN()}, {0, 100, math.Inf(1)}, {math.NaN(), 100, 10}} {
+		if _, err := BuildTimeExpanded(bad[0], bad[1], bad[2], DefaultConfig(), sats, nil, nil); err == nil {
+			t.Errorf("start/horizon/interval %v should error", bad)
+		}
 	}
 	var empty TimeExpanded
 	if empty.At(0) != nil {

@@ -15,8 +15,9 @@ func allocGate(t *testing.T) {
 }
 
 // TestAllocGateDinic pins the //lint:hotpath contract on dinicGraph.solve:
-// once the residual graph is built, re-solving it (reset + phase loop)
-// must touch only the receiver's preallocated scratch.
+// once the residual graph is built, re-solving it (restoring the initial
+// capacities + phase loop) must touch only the receiver's preallocated
+// scratch.
 func TestAllocGateDinic(t *testing.T) {
 	allocGate(t)
 	n := sharedBottleneck(t)
@@ -26,7 +27,11 @@ func TestAllocGateDinic(t *testing.T) {
 	s, d := int(a), int(c)
 	want := g.solve(s, d)
 	run := func() {
-		g.reset()
+		for u := range g.adj {
+			for i := range g.adj[u] {
+				g.adj[u][i].cap = g.adj[u][i].orig
+			}
+		}
 		if got := g.solve(s, d); got != want {
 			t.Fatalf("re-solve value %v, want %v", got, want)
 		}

@@ -27,15 +27,6 @@ type MaxFlowResult struct {
 	MinCut []CutLink
 }
 
-// CutCapacityBps sums the cut links' capacities.
-func (r *MaxFlowResult) CutCapacityBps() float64 {
-	var total float64
-	for _, c := range r.MinCut {
-		total += c.CapacityBps
-	}
-	return total
-}
-
 // arc is one residual-graph arc. Forward arcs carry orig = initial
 // capacity; residual counterparts have orig = 0.
 type arc struct {
@@ -154,17 +145,6 @@ func (g *dinicGraph) solve(s, t int) float64 {
 		}
 	}
 	return value
-}
-
-// reset restores every arc to its initial capacity so the same graph can
-// be solved again without rebuilding (the alloc gate re-solves in a loop
-// to prove the kernel allocates nothing).
-func (g *dinicGraph) reset() {
-	for u := range g.adj {
-		for i := range g.adj[u] {
-			g.adj[u][i].cap = g.adj[u][i].orig
-		}
-	}
 }
 
 // MaxFlow computes the maximum src→dst flow of the network with Dinic's

@@ -228,7 +228,7 @@ func TestMaxMinFairProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, l := range n.Links() {
+		for _, l := range links(n) {
 			j, _ := n.link(l.From, l.To)
 			load := alloc.linkLoad[j]
 			if load > n.CapacityBps(l.From, l.To)*(1+1e-9)+tol {

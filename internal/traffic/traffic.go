@@ -91,17 +91,6 @@ func (n *Network) CapacityBps(from, to string) float64 {
 	return 0
 }
 
-// Links returns every directed link in deterministic (from, to) order.
-func (n *Network) Links() []LinkID {
-	ids := make([]LinkID, 0, n.Snap.EdgeCount())
-	for j := range n.caps {
-		if n.Snap.EdgeLive(int32(j)) {
-			ids = append(ids, n.linkID(int32(j)))
-		}
-	}
-	return ids
-}
-
 // maxCapacityBps returns the largest link capacity, used to scale the float
 // tolerances of the solvers.
 func (n *Network) maxCapacityBps() float64 {

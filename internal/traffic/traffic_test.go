@@ -18,9 +18,9 @@ func TestNetworkCapacities(t *testing.T) {
 	if got := n.CapacityBps("b", "a"); got != 0 {
 		t.Errorf("missing reverse link capacity = %v, want 0", got)
 	}
-	links := n.Links()
-	if len(links) != 2 || links[0] != (LinkID{"a", "b"}) || links[1] != (LinkID{"b", "c"}) {
-		t.Errorf("links = %v, want sorted [a→b b→c]", links)
+	ls := links(n)
+	if len(ls) != 2 || ls[0] != (LinkID{"a", "b"}) || ls[1] != (LinkID{"b", "c"}) {
+		t.Errorf("links = %v, want sorted [a→b b→c]", ls)
 	}
 }
 
@@ -82,4 +82,15 @@ func TestGatewayTransitCost(t *testing.T) {
 	if !ok || c != 0.004 {
 		t.Errorf("laser ISL cost = %v/%v, want 0.004/usable", c, ok)
 	}
+}
+
+// links returns every live directed link in deterministic (from, to) order.
+func links(n *Network) []LinkID {
+	ids := make([]LinkID, 0, n.Snap.EdgeCount())
+	for j := range n.caps {
+		if n.Snap.EdgeLive(int32(j)) {
+			ids = append(ids, n.linkID(int32(j)))
+		}
+	}
+	return ids
 }
